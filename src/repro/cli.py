@@ -43,6 +43,7 @@ from .experiments import (
     run_fixed_p_ablation,
     run_tfail_ablation,
 )
+from .phy.reception import RECEPTION_MODELS
 
 __all__ = ["main", "build_parser"]
 
@@ -403,6 +404,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     profile.add_argument("--beamwidth", type=float, default=90.0)
     profile.add_argument(
+        "--phy", choices=RECEPTION_MODELS, default="unitdisk",
+        help="reception model (network kernel; default unitdisk); sinr "
+        "uses the PhyConfig defaults",
+    )
+    profile.add_argument(
         "--sim-seconds", type=float, default=0.5,
         help="simulated seconds (network kernel)",
     )
@@ -535,6 +541,7 @@ def _run_profile(args: argparse.Namespace) -> int:
     if args.kernel == "network":
         from .experiments import replicate_seed, replicate_topology
         from .net.network import NetworkSimulation
+        from .phy.reception import PhyConfig
 
         with profiler.phase("topology gen"):
             topology = replicate_topology(args.seed, args.n, 0, rings=args.rings)
@@ -545,6 +552,7 @@ def _run_profile(args: argparse.Namespace) -> int:
                 math.radians(args.beamwidth),
                 seed=replicate_seed(args.seed, args.n, 0),
                 metrics=metrics,
+                phy_config=PhyConfig(model=args.phy),
             )
         if args.by_callback:
             callback_profiler = CallbackProfiler()
@@ -558,7 +566,7 @@ def _run_profile(args: argparse.Namespace) -> int:
         rates.append(("events/sec", events, "event loop"))
         print(
             f"profile: network kernel, N={args.n}, rings={args.rings}, "
-            f"{args.scheme}, {args.beamwidth:g}dg, "
+            f"{args.scheme}, {args.beamwidth:g}dg, {args.phy} phy, "
             f"{args.sim_seconds:g}s simulated ({events:,} events)"
         )
     else:
@@ -602,7 +610,11 @@ def _run_profile(args: argparse.Namespace) -> int:
         payload = {
             "format": "repro-profile-v1",
             "kernel": args.kernel,
-            **({"engine": args.engine} if args.kernel == "slotsim" else {}),
+            **(
+                {"engine": args.engine}
+                if args.kernel == "slotsim"
+                else {"phy": args.phy}
+            ),
             "phases": profiler.as_dict(),
             "rates": {
                 name: profiler.rate(count, label) for name, count, label in rates

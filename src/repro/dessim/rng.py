@@ -26,21 +26,50 @@ class RngRegistry:
             )
         self.master_seed = master_seed
         self._streams: dict[str, random.Random] = {}
+        # Reseeded by every gauss_once call; its initial seed is unused.
+        self._scratch = random.Random(0)
+
+    def seed_of(self, name: str) -> int:
+        """The seed of the stream named ``name``.
+
+        A SHA-256 hash of ``(master_seed, name)``, so that distinct
+        names yield statistically independent streams and the mapping
+        is stable across Python versions (unlike ``hash``).
+        """
+        digest = hashlib.sha256(f"{self.master_seed}:{name}".encode()).digest()
+        return int.from_bytes(digest[:8], "big")
 
     def stream(self, name: str) -> random.Random:
-        """Return the stream for ``name``, creating it on first use.
+        """Return the stream for ``name``, creating it on first use."""
+        stream = self._streams.get(name)
+        if stream is None:
+            stream = self._streams[name] = random.Random(self.seed_of(name))
+        return stream
 
-        The stream seed is a SHA-256 hash of ``(master_seed, name)`` so
-        that distinct names yield statistically independent streams and
-        the mapping is stable across Python versions (unlike ``hash``).
+    def gauss_once(self, name: str) -> float:
+        """The first unit gaussian of stream ``name``, keeping no stream.
+
+        Equal to ``RngRegistry(master_seed).stream(name).gauss(0.0,
+        1.0)``, but drawn from one scratch generator that is reseeded
+        per call (``Random.seed`` also clears the cached second gaussian,
+        so no state leaks between calls).  For consumers that need
+        exactly one draw per name across many names — per-pair
+        shadowing — where a kept ``random.Random`` per name would cost
+        its whole Mersenne Twister state.
+
+        Raises:
+            ValueError: ``stream(name)`` already handed the name out;
+                its first draw is taken, so a one-shot draw would
+                silently duplicate it.
         """
-        if name not in self._streams:
-            digest = hashlib.sha256(
-                f"{self.master_seed}:{name}".encode()
-            ).digest()
-            seed = int.from_bytes(digest[:8], "big")
-            self._streams[name] = random.Random(seed)
-        return self._streams[name]
+        if name in self._streams:
+            raise ValueError(
+                f"stream {name!r} is already in use; gauss_once would "
+                "repeat its first draw"
+            )
+        scratch = self._scratch
+        scratch.seed(self.seed_of(name))
+        return scratch.gauss(0.0, 1.0)
 
     def spawn(self, name: str) -> "RngRegistry":
         """Derive a child registry (e.g. one per topology replicate)."""

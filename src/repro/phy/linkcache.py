@@ -13,7 +13,9 @@ This module caches that geometry:
 * a **point cache** of :class:`Link` records per ordered node pair —
   ``(in_range, distance_m, bearing, delay_ns, rx_power)`` — so
   :meth:`~repro.mac.neighbors.NeighborTable.bearing_to` and
-  ``distance_to`` become one dict lookup;
+  ``distance_to`` become one dict lookup.  A row fill stores an
+  inaudible pair as a bare epoch stamp (no ``Link``, no trig), and
+  :meth:`LinkCache.link` builds its full record on first demand;
 * a **row cache** per sender: its in-range neighbors in attach order,
   binned into angular sectors, so ``audible_nodes`` only inspects the
   sectors overlapping the transmit beam plus one boundary check per
@@ -113,7 +115,9 @@ class LinkCache:
         self._radios = radios
         self._epochs: dict[int, int] = {}
         self._move_seq = 0
-        self._links: dict[tuple[int, int], tuple[int, int, Link]] = {}
+        # (epoch_src, epoch_dst, record); record is None for an
+        # inaudible pair a row fill stamped without building its Link.
+        self._links: dict[tuple[int, int], tuple[int, int, Link | None]] = {}
         self._rows: dict[int, _Row] = {}
 
     # ------------------------------------------------------------------
@@ -135,7 +139,11 @@ class LinkCache:
     # ------------------------------------------------------------------
 
     def link(self, src_id: int, dst_id: int) -> Link:
-        """The cached :class:`Link` from ``src_id`` to ``dst_id``."""
+        """The cached :class:`Link` from ``src_id`` to ``dst_id``.
+
+        An inaudible pair that a row fill stored as a bare epoch stamp
+        gets its full record built here, on first demand.
+        """
         epoch_src = self._epochs[src_id]
         epoch_dst = self._epochs[dst_id]
         key = (src_id, dst_id)
@@ -144,6 +152,7 @@ class LinkCache:
             cached is not None
             and cached[0] == epoch_src
             and cached[1] == epoch_dst
+            and cached[2] is not None
         ):
             return cached[2]
         src = self._radios[src_id].position
@@ -167,31 +176,62 @@ class LinkCache:
         row = self._rows.get(sender_id)
         if row is not None and row.stamp == self._move_seq:
             return row
-        # Rebuild in attach order; unchanged pairs come straight from
-        # the point cache, so only moved endpoints pay for trig.
-        link = self.link
+        # Rebuild in attach order; pairs whose endpoints have not moved
+        # come straight from the point cache, so only moved endpoints
+        # pay for a link budget.  A missing pair costs one budget call,
+        # and an inaudible one is stored as a bare epoch stamp: the
+        # trig and the Link record are only paid for audible pairs.
+        links = self._links
+        epochs = self._epochs
+        link_budget = self.reception.link_budget
+        delay = self.propagation.delay
+        radios = self._radios
+        epoch_src = epochs[sender_id]
+        src = radios[sender_id].position
+        pi = math.pi
         sectors = self.sectors
         width = self._width
         ids: list[int] = []
         entries: list[tuple[int, float, int, float]] = []
         bins: list[list[int]] = [[] for _ in range(sectors)]
-        for node_id in self._radios:
+        for node_id, radio in radios.items():
             if node_id == sender_id:
                 continue
-            record = link(sender_id, node_id)
-            if not record.in_range:
-                continue
+            key = (sender_id, node_id)
+            epoch_dst = epochs[node_id]
+            cached = links.get(key)
+            if (
+                cached is not None
+                and cached[0] == epoch_src
+                and cached[1] == epoch_dst
+            ):
+                record = cached[2]
+                if record is None or not record.in_range:
+                    continue
+            else:
+                dst = radio.position
+                audible, rx_power = link_budget(sender_id, node_id, src, dst)
+                if not audible:
+                    links[key] = (epoch_src, epoch_dst, None)
+                    continue
+                record = Link(
+                    in_range=audible,
+                    distance_m=src.distance_to(dst),
+                    bearing=src.bearing_to(dst),
+                    delay_ns=delay(src, dst),
+                    rx_power=rx_power,
+                )
+                links[key] = (epoch_src, epoch_dst, record)
+            bearing = record.bearing
             # Bearings live in (-pi, pi]; +pi lands on the last bin's
             # inclusive edge (the beam query scans a one-bin margin, so
             # the wrap seam is covered either way).
-            sector = int((record.bearing + math.pi) / width)
+            sector = int((bearing + pi) / width)
             if sector >= sectors:
                 sector = sectors - 1
             bins[sector].append(len(entries))
             ids.append(node_id)
-            entries.append(
-                (node_id, record.bearing, record.delay_ns, record.rx_power)
-            )
+            entries.append((node_id, bearing, record.delay_ns, record.rx_power))
         row = _Row(self._move_seq, ids, entries, bins)
         self._rows[sender_id] = row
         return row

@@ -74,7 +74,7 @@ class PhyConfig:
             phy: frame-level parameters; the unit-disk model reads its
                 legacy ``capture_threshold`` from here.
             registry: the run's RNG registry; the SINR model draws its
-                ``shadow-{src}-{dst}`` streams from it.
+                per-pair ``shadow-{src}-{dst}`` gaussians from it.
         """
         if self.model == "unitdisk":
             return UnitDiskReception(

@@ -8,10 +8,12 @@ away (and arXiv:1509.02325 analyses for directional antennas):
   + 10 * pathloss_exponent * log10(d / reference_distance_m))``.
 * **Lognormal shadowing** — a zero-mean gaussian in the dB domain,
   scaled by ``shadowing_sigma_db``, drawn once per *ordered* node pair
-  from a registry-named RNG stream (``shadow-{src}-{dst}``).  The draw
-  is memoized on first query, so link budgets are a pure function of
-  ``(registry seed, src, dst)`` regardless of query order, and the two
-  directions of a pair shadow independently — the model can express a
+  as the first gaussian of a registry-named RNG stream
+  (``shadow-{src}-{dst}``, via ``RngRegistry.gauss_once``, which keeps
+  no stream object).  The draw is memoized on first query, so link
+  budgets are a pure function of ``(registry seed, src, dst)``
+  regardless of query order, and the two directions of a pair shadow
+  independently — the model can express a
   node that hears a neighbor it cannot reach back (the classic
   asymmetric link).
 * **Sensitivity** — a signal below ``sensitivity_dbm`` at the receiver
@@ -204,19 +206,23 @@ class SinrCaptureReception(ReceptionModel):
     def shadowing_db(self, src_id: int, dst_id: int) -> float:
         """The pair's shadowing term (dB), drawn once and memoized.
 
-        One ``shadow-{src}-{dst}`` stream per ordered pair: a unit
-        gaussian scaled by ``shadowing_sigma_db``, so the value is a
-        pure function of the registry seed and the pair — independent
-        of when (or how often) the link is queried, and stable across
-        mobility (per-pair, not per-position, the standard
-        simplification).
+        The first unit gaussian of the ``shadow-{src}-{dst}`` stream,
+        scaled by ``shadowing_sigma_db``, so the value is a pure
+        function of the registry seed and the ordered pair —
+        independent of when (or how often) the link is queried, and
+        stable across mobility (per-pair, not per-position, the
+        standard simplification).  The draw comes from
+        :meth:`~repro.dessim.rng.RngRegistry.gauss_once`, so no stream
+        is kept per pair.  Zero sigma draws nothing and returns 0.0.
         """
+        sigma = self.shadowing_sigma_db
+        if not sigma:
+            return 0.0
         key = (src_id, dst_id)
         value = self._shadowing_db.get(key)
         if value is None:
-            draw = self.registry.stream(f"shadow-{src_id}-{dst_id}").gauss(0.0, 1.0)
-            value = draw * self.shadowing_sigma_db
-            self._shadowing_db[key] = value
+            draw = self.registry.gauss_once(f"shadow-{src_id}-{dst_id}")
+            value = self._shadowing_db[key] = draw * sigma
         return value
 
     def rx_power_dbm(

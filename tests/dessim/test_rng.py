@@ -60,6 +60,51 @@ class TestRngRegistry:
             RngRegistry("not-a-seed")  # type: ignore[arg-type]
 
 
+class TestGaussOnce:
+    """``gauss_once(name)`` is the first gaussian of ``stream(name)``."""
+
+    def test_equals_first_stream_gaussian(self):
+        for seed in (0, 1, 7, 2003, 2**63 - 1):
+            once = RngRegistry(seed)
+            for name in ("a", "backoff", "shadow-0-1", "shadow-1-0", "x" * 100):
+                expected = RngRegistry(seed).stream(name).gauss(0.0, 1.0)
+                assert once.gauss_once(name) == expected
+
+    def test_back_to_back_calls_do_not_leak_gauss_state(self):
+        # gauss() caches a second value in gauss_next; every one-shot
+        # draw must start clean, so a run of calls over fresh names
+        # equals a run of fresh streams, value for value.
+        registry = RngRegistry(11)
+        names = [f"shadow-{s}-{d}" for s in range(12) for d in range(12) if s != d]
+        once = [registry.gauss_once(name) for name in names]
+        fresh = [RngRegistry(11).stream(name).gauss(0.0, 1.0) for name in names]
+        assert once == fresh
+        # Repeating a name repeats its draw.
+        assert registry.gauss_once(names[0]) == once[0]
+
+    def test_keeps_no_stream(self):
+        registry = RngRegistry(3)
+        registry.gauss_once("shadow-1-2")
+        assert registry._streams == {}
+        # A later stream of the same name still starts at its seed.
+        expected = RngRegistry(3).stream("shadow-1-2").random()
+        assert registry.stream("shadow-1-2").random() == expected
+
+    def test_does_not_perturb_streams(self):
+        registry = RngRegistry(9)
+        stream = registry.stream("a")
+        reference = RngRegistry(9).stream("a")
+        assert stream.random() == reference.random()
+        registry.gauss_once("b")
+        assert stream.random() == reference.random()
+
+    def test_rejects_a_name_already_streamed(self):
+        registry = RngRegistry(5)
+        registry.stream("taken")
+        with pytest.raises(ValueError, match="taken"):
+            registry.gauss_once("taken")
+
+
 class TestSeedStability:
     """The (master_seed, name) -> stream mapping is a contract.
 
@@ -72,6 +117,7 @@ class TestSeedStability:
         digest = hashlib.sha256(b"2003:backoff").digest()
         expected = int.from_bytes(digest[:8], "big")
         assert expected == 7550964712488899809
+        assert RngRegistry(2003).seed_of("backoff") == expected
         stream = RngRegistry(2003).stream("backoff")
         import random as random_module
 

@@ -21,6 +21,7 @@ from repro.phy import (
     Radio,
     SectorAntenna,
     UnitDiskPropagation,
+    UnitDiskReception,
 )
 
 RANGE_M = 300.0
@@ -180,6 +181,67 @@ def test_point_cache_reused_across_row_rebuilds():
     # shrink and grows only by re-derived mover pairs).
     channel.neighbors_of(1)
     assert cache.cached_pairs() == warm
+
+
+class CountingReception(UnitDiskReception):
+    """Unit-disk reception that records every link-budget pair."""
+
+    def __init__(self, range_m=RANGE_M):
+        super().__init__(UnitDiskPropagation(range_m=range_m))
+        self.calls = []
+
+    def link_budget(self, src_id, dst_id, src, dst):
+        self.calls.append((src_id, dst_id))
+        return super().link_budget(src_id, dst_id, src, dst)
+
+
+def test_row_rebuild_budgets_only_the_movers_pairs():
+    """After a move, rebuilt rows re-derive only pairs touching the mover.
+
+    Pairs between unmoved nodes are served from the point cache whether
+    they are audible (a full Link) or not (a bare epoch stamp).
+    """
+    rng = random.Random(21)
+    positions = _random_positions(rng, 14)
+    sim = Simulator()
+    reception = CountingReception()
+    channel = Channel(sim, reception=reception)
+    radios = [Radio(sim, i, pos, channel) for i, pos in enumerate(positions)]
+    count = len(radios)
+    for node_id in range(count):
+        channel.neighbors_of(node_id)
+    # A cold fill budgets every ordered pair exactly once.
+    assert sorted(reception.calls) == [
+        (s, d) for s in range(count) for d in range(count) if s != d
+    ]
+    unmoved_inaudible = [
+        (s, d)
+        for s in range(1, count)
+        for d in range(1, count)
+        if s != d and d not in channel.neighbors_of(s)
+    ]
+    assert unmoved_inaudible, "the topology must hold inaudible pairs"
+
+    reception.calls.clear()
+    radios[0].position = Position(rng.uniform(-700, 700), rng.uniform(-700, 700))
+    for node_id in range(count):
+        channel.neighbors_of(node_id)
+    assert sorted(reception.calls) == sorted(
+        [(0, d) for d in range(1, count)] + [(s, 0) for s in range(1, count)]
+    )
+
+    # An inaudible pair stamped by a row fill still answers link() with
+    # the naive channel's full record.
+    naive = Channel(
+        Simulator(),
+        propagation=UnitDiskPropagation(range_m=RANGE_M),
+        link_cache=False,
+    )
+    for node_id, radio in enumerate(radios):
+        Radio(naive.sim, node_id, radio.position, naive)
+    for src, dst in unmoved_inaudible:
+        assert channel.link(src, dst) == naive.link(src, dst)
+        assert not channel.link(src, dst).in_range
 
 
 def test_neighbors_of_served_from_cache_not_naive_sweep():

@@ -14,6 +14,7 @@ import pytest
 
 from repro.dessim import Simulator
 from repro.dessim.rng import RngRegistry
+from repro.net import NetworkSimulation, TopologyConfig, generate_ring_topology
 from repro.phy import (
     Channel,
     Frame,
@@ -36,6 +37,18 @@ def sinr_model(seed=0, **knobs):
     return SinrCaptureReception(
         UnitDiskPropagation(range_m=300.0), RngRegistry(seed), **knobs
     )
+
+
+class CountingRegistry(RngRegistry):
+    """A registry that counts one-shot draws."""
+
+    def __init__(self, master_seed):
+        super().__init__(master_seed)
+        self.draws = 0
+
+    def gauss_once(self, name):
+        self.draws += 1
+        return super().gauss_once(name)
 
 
 def make_net(reception):
@@ -128,9 +141,44 @@ class TestShadowingDeterminism:
     def test_zero_sigma_zero_shadow(self):
         assert sinr_model(seed=7).shadowing_db(1, 2) == 0.0
 
+    def test_zero_sigma_draws_nothing(self):
+        registry = CountingRegistry(7)
+        model = SinrCaptureReception(
+            UnitDiskPropagation(range_m=300.0), registry, shadowing_sigma_db=0.0
+        )
+        for dst in range(2, 12):
+            model.link_budget(1, dst, Position(0, 0), Position(10.0 * dst, 0))
+        assert registry.draws == 0
+        assert registry._streams == {}
+
     def test_directions_shadow_independently(self):
         model = sinr_model(seed=7, shadowing_sigma_db=6.0)
         assert model.shadowing_db(1, 2) != model.shadowing_db(2, 1)
+
+    def test_draw_is_first_gaussian_of_the_pair_stream(self):
+        # The documented derivation, pinned: sigma times the first unit
+        # gaussian of the registry's shadow-{src}-{dst} stream.
+        model = sinr_model(seed=7, shadowing_sigma_db=6.0)
+        for src, dst in ((1, 2), (2, 1), (0, 199), (37, 5)):
+            stream = RngRegistry(7).stream(f"shadow-{src}-{dst}")
+            assert model.shadowing_db(src, dst) == stream.gauss(0.0, 1.0) * 6.0
+
+    def test_built_network_keeps_no_shadow_streams(self):
+        placement = RngRegistry(7).stream("placement")
+        topology = generate_ring_topology(TopologyConfig(n=8, rings=5), placement)
+        assert len(topology.positions) == 200
+        net = NetworkSimulation(
+            topology,
+            "DRTS-OCTS",
+            math.pi / 3,
+            seed=1,
+            phy_config=PhyConfig(model="sinr"),
+        )
+        # Every ordered pair was shadowed, yet no stream was kept for it.
+        assert len(net.channel.reception._shadowing_db) == 200 * 199
+        names = list(net.rng._streams)
+        assert names, "the MACs and sources still draw from named streams"
+        assert not [name for name in names if name.startswith("shadow-")]
 
 
 class TestAsymmetricLink:

@@ -263,6 +263,28 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "event loop" in out
         assert "events/sec" in out
+        assert "unitdisk phy" in out
+
+    def test_profile_network_sinr(self, tmp_path, capsys):
+        report = tmp_path / "profile.json"
+        code = main(
+            [
+                "profile",
+                "--phy", "sinr",
+                "--n", "3",
+                "--sim-seconds", "0.01",
+                "--json", str(report),
+            ]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "sinr phy" in out
+        assert "build" in out
+        import json
+
+        payload = json.loads(report.read_text())
+        assert payload["phy"] == "sinr"
+        assert payload["counters"]["dessim.events"] > 0
 
     def test_profile_network_by_callback(self, tmp_path, capsys):
         report = tmp_path / "profile.json"
