@@ -93,12 +93,16 @@ def constraints_for(
         ]
     if isinstance(scheme, DrtsDcts):
         areas = drts_dcts_areas(r, prm.beamwidth)
+        # Area III's beams span theta' = factor * theta (the paper picks 1).
+        span = min(scheme.area3_span_factor * prm.beamwidth, 2 * math.pi)
         return [
             InterferenceConstraint(areas.s1, p, 1),
             InterferenceConstraint(areas.s2, p_dir, int(2 * l_rts)),
             InterferenceConstraint(areas.s2, p, 1),
             InterferenceConstraint(
-                areas.s3, p_dir, int(2 * l_rts + l_cts + l_data + l_ack + 4)
+                areas.s3,
+                p * span / (2 * math.pi),
+                int(2 * l_rts + l_cts + l_data + l_ack + 4),
             ),
             InterferenceConstraint(
                 areas.s4, p_dir, int(2 * l_rts + l_cts + l_ack + 2)

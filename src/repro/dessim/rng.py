@@ -46,6 +46,19 @@ class RngRegistry:
             stream = self._streams[name] = random.Random(self.seed_of(name))
         return stream
 
+    def require_unstreamed(self, name: str) -> None:
+        """Raise ``ValueError`` if ``stream(name)`` already handed ``name`` out.
+
+        The guard behind :meth:`gauss_once`: that stream's first draw is
+        taken, so a one-shot draw of it — fresh or remembered from an
+        earlier registry on the same seed — would silently duplicate it.
+        """
+        if name in self._streams:
+            raise ValueError(
+                f"stream {name!r} is already in use; gauss_once would "
+                "repeat its first draw"
+            )
+
     def gauss_once(self, name: str) -> float:
         """The first unit gaussian of stream ``name``, keeping no stream.
 
@@ -58,15 +71,10 @@ class RngRegistry:
         its whole Mersenne Twister state.
 
         Raises:
-            ValueError: ``stream(name)`` already handed the name out;
-                its first draw is taken, so a one-shot draw would
-                silently duplicate it.
+            ValueError: ``stream(name)`` already handed the name out
+                (see :meth:`require_unstreamed`).
         """
-        if name in self._streams:
-            raise ValueError(
-                f"stream {name!r} is already in use; gauss_once would "
-                "repeat its first draw"
-            )
+        self.require_unstreamed(name)
         scratch = self._scratch
         scratch.seed(self.seed_of(name))
         return scratch.gauss(0.0, 1.0)

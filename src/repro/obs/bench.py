@@ -244,13 +244,16 @@ def _case_network_sinr(sim_seconds: float) -> int:
     budgets and per-signal SINR tracking, so this case moves when the
     reception subsystem's hot path (linear-power bookkeeping, shadowed
     link budgets through the cache) regresses — separately from the
-    unit-disk fast path, which ``network_large`` keeps honest.
+    unit-disk fast path, which ``network_large`` keeps honest.  Every
+    repeat reruns the same seed, so the shadowing memo is cleared
+    first: each one times the cold build, whatever ran before it.
     """
     from ..dessim import seconds
     from ..dessim.rng import RngRegistry
     from ..net import NetworkSimulation, TopologyConfig, generate_ring_topology
-    from ..phy.reception import PhyConfig
+    from ..phy.reception import PhyConfig, clear_shadowing_memo
 
+    clear_shadowing_memo()
     placement = RngRegistry(7).stream("placement")
     topology = generate_ring_topology(TopologyConfig(n=8, rings=5), placement)
     metrics = MetricsRegistry()

@@ -8,7 +8,13 @@ default and the equivalence oracle), and
 
 from .base import ReceptionModel, Receiver, RxOutcome
 from .config import RECEPTION_MODELS, PhyConfig
-from .sinr import SinrCaptureReception, SinrReceiver, dbm_to_mw, mw_to_dbm
+from .sinr import (
+    SinrCaptureReception,
+    SinrReceiver,
+    clear_shadowing_memo,
+    dbm_to_mw,
+    mw_to_dbm,
+)
 from .unitdisk import UnitDiskReceiver, UnitDiskReception
 
 __all__ = [
@@ -21,6 +27,7 @@ __all__ = [
     "UnitDiskReceiver",
     "SinrCaptureReception",
     "SinrReceiver",
+    "clear_shadowing_memo",
     "dbm_to_mw",
     "mw_to_dbm",
 ]

@@ -10,12 +10,17 @@ away (and arXiv:1509.02325 analyses for directional antennas):
   scaled by ``shadowing_sigma_db``, drawn once per *ordered* node pair
   as the first gaussian of a registry-named RNG stream
   (``shadow-{src}-{dst}``, via ``RngRegistry.gauss_once``, which keeps
-  no stream object).  The draw is memoized on first query, so link
-  budgets are a pure function of ``(registry seed, src, dst)``
-  regardless of query order, and the two directions of a pair shadow
-  independently — the model can express a
+  no stream object).  Link budgets are a pure function of
+  ``(registry seed, src, dst)`` regardless of query order, and the two
+  directions of a pair shadow independently — the model can express a
   node that hears a neighbor it cannot reach back (the classic
-  asymmetric link).
+  asymmetric link).  The *unit* draws are memoized once per process
+  per registry master seed, in a bounded map shared by every model
+  built on that seed (the (scheme, theta) cells of one campaign
+  replicate, and sigmas that differ), so only the first build on a
+  seed pays for them.  The memo holds about 4M pairs (~32 MB) across
+  seeds, evicting the least recently used seed; what it holds never
+  changes a result, only how fast it is computed.
 * **Sensitivity** — a signal below ``sensitivity_dbm`` at the receiver
   is not audible at all: the channel never schedules its edges, so it
   neither decodes nor interferes.  (LoRa-style reception tables make
@@ -37,6 +42,8 @@ on every platform the registry's SHA-256 derivation covers.
 from __future__ import annotations
 
 import math
+from array import array
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -47,7 +54,20 @@ from .base import Receiver, ReceptionModel, RxOutcome
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..channel import Transmission
 
-__all__ = ["SinrCaptureReception", "SinrReceiver", "dbm_to_mw", "mw_to_dbm"]
+__all__ = [
+    "SinrCaptureReception",
+    "SinrReceiver",
+    "clear_shadowing_memo",
+    "dbm_to_mw",
+    "mw_to_dbm",
+]
+
+#: Ordered-pair slots the shadowing memo holds across all seeds: 4M
+#: doubles, ~32 MB.  A paper-scale campaign (50 topologies of 200
+#: nodes) needs ~2M.
+_MEMO_PAIRS = 1 << 22
+
+_NAN = array("d", [math.nan])
 
 
 def dbm_to_mw(dbm: float) -> float:
@@ -60,6 +80,80 @@ def mw_to_dbm(mw: float) -> float:
     if mw <= 0:
         raise ValueError(f"power must be positive, got {mw!r}")
     return 10.0 * math.log10(mw)
+
+
+def _pair_slot(src_id: int, dst_id: int) -> int:
+    """Memo slot of the ordered pair, or -1 for a negative node id.
+
+    Pairs with ``max(src, dst) == m`` fill the square shell
+    ``[m*m, (m+1)**2)``, so a map needs no node count and the first
+    ``(m+1)**2`` slots cover every pair of ids up to ``m``.
+    """
+    if src_id < 0 or dst_id < 0:
+        return -1
+    if src_id >= dst_id:
+        return src_id * (src_id + 1) + dst_id
+    return dst_id * dst_id + src_id
+
+
+class _ShadowingMemo:
+    """Unit shadowing draws per registry master seed, LRU-bounded.
+
+    One ``array('d')`` per seed, indexed by :func:`_pair_slot`, NaN
+    for a pair not drawn yet.  Growing a map evicts the least recently
+    used other seeds until the maps hold at most ``max_pairs`` slots;
+    a map that alone would pass the bound stops growing, and pairs
+    beyond it are drawn on every query instead.
+    """
+
+    def __init__(self, max_pairs: int) -> None:
+        self.max_pairs = max_pairs
+        self._maps: OrderedDict[int, array] = OrderedDict()
+
+    def draws_for(self, seed: int) -> array:
+        """The seed's map, created empty, marked most recently used."""
+        maps = self._maps
+        draws = maps.get(seed)
+        if draws is None:
+            draws = maps[seed] = array("d")
+        else:
+            maps.move_to_end(seed)
+        return draws
+
+    def store(self, draws: array, slot: int, draw: float) -> None:
+        """Remember ``draw`` at ``slot`` of ``draws`` if the bound allows."""
+        if slot >= len(draws):
+            size = (math.isqrt(slot) + 1) ** 2  # whole shells
+            if size > self.max_pairs:
+                return
+            draws.extend(_NAN * (size - len(draws)))
+            maps = self._maps
+            total = self.pairs()
+            for seed in list(maps):
+                if total <= self.max_pairs:
+                    break
+                if maps[seed] is not draws:
+                    total -= len(maps.pop(seed))
+        draws[slot] = draw
+
+    def pairs(self) -> int:
+        """Slots currently held across all seeds."""
+        return sum(map(len, self._maps.values()))
+
+    def clear(self) -> None:
+        self._maps.clear()
+
+
+_MEMO = _ShadowingMemo(_MEMO_PAIRS)
+
+
+def clear_shadowing_memo() -> None:
+    """Forget every memoized shadowing draw (results do not change).
+
+    For timing a cold build: the next model on each seed draws its
+    pairs afresh.  Models built earlier keep their own map.
+    """
+    _MEMO.clear()
 
 
 @dataclass(slots=True)
@@ -199,12 +293,12 @@ class SinrCaptureReception(ReceptionModel):
         self._sensitivity_mw = dbm_to_mw(sensitivity_dbm)
         self._noise_mw = dbm_to_mw(noise_dbm)
         self._capture_ratio = dbm_to_mw(capture_threshold_db)  # dB -> ratio
-        self._shadowing_db: dict[tuple[int, int], float] = {}
+        self._unit_draws = _MEMO.draws_for(registry.master_seed)
 
     # ------------------------------------------------------------------
 
     def shadowing_db(self, src_id: int, dst_id: int) -> float:
-        """The pair's shadowing term (dB), drawn once and memoized.
+        """The pair's shadowing term (dB), drawn once per seed and memoized.
 
         The first unit gaussian of the ``shadow-{src}-{dst}`` stream,
         scaled by ``shadowing_sigma_db``, so the value is a pure
@@ -213,17 +307,28 @@ class SinrCaptureReception(ReceptionModel):
         stable across mobility (per-pair, not per-position, the
         standard simplification).  The draw comes from
         :meth:`~repro.dessim.rng.RngRegistry.gauss_once`, so no stream
-        is kept per pair.  Zero sigma draws nothing and returns 0.0.
+        is kept per pair, and the unit draw is remembered in the
+        process-wide per-seed memo, so later models on the same seed
+        reuse it.  Zero sigma draws nothing and returns 0.0.
+
+        Raises:
+            ValueError: the registry already handed the pair's stream
+                out through ``stream()``, memoized draw or not.
         """
         sigma = self.shadowing_sigma_db
         if not sigma:
             return 0.0
-        key = (src_id, dst_id)
-        value = self._shadowing_db.get(key)
-        if value is None:
-            draw = self.registry.gauss_once(f"shadow-{src_id}-{dst_id}")
-            value = self._shadowing_db[key] = draw * sigma
-        return value
+        name = f"shadow-{src_id}-{dst_id}"
+        draws = self._unit_draws
+        slot = _pair_slot(src_id, dst_id)
+        draw = draws[slot] if 0 <= slot < len(draws) else math.nan
+        if draw == draw:
+            self.registry.require_unstreamed(name)
+        else:  # NaN: not drawn on this seed yet
+            draw = self.registry.gauss_once(name)
+            if slot >= 0:
+                _MEMO.store(draws, slot, draw)
+        return draw * sigma
 
     def rx_power_dbm(
         self, src_id: int, dst_id: int, src: Position, dst: Position

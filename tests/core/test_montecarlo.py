@@ -84,6 +84,25 @@ class TestPwsAgreement:
             f"{estimate.mean:.5f} +- {estimate.std_error:.5f}"
         )
 
+    def test_area3_span_factor_is_sampled(self):
+        # Factor 2 doubles Area III's beam span, cutting P_ws to ~40% at
+        # N=3, theta=60 deg: the sampler must follow, not the factor-1 form.
+        params = PAPER_PARAMETERS.with_neighbors(3.0).with_beamwidth(
+            math.radians(60.0)
+        )
+        scheme = DrtsDcts(params, area3_span_factor=2.0)
+        p = 0.05
+        estimate = estimate_p_ws(scheme, p, random.Random(11), samples=40_000)
+        assert abs(estimate.mean - scheme.p_ws(p)) <= 5 * estimate.std_error
+        paper = DrtsDcts(params).p_ws(p)
+        assert abs(estimate.mean - paper) > 5 * estimate.std_error
+
+    def test_default_span_factor_keeps_the_thinned_probability(self):
+        scheme = make(DrtsDcts)
+        p = 0.05
+        area3 = constraints_for(scheme, 0.5, p)[3]
+        assert area3.tx_probability == p * scheme.params.beamwidth / (2 * math.pi)
+
     def test_denser_network_agreement(self):
         scheme = make(OrtsOcts, n=8.0)
         p = 0.02

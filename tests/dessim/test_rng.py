@@ -104,6 +104,14 @@ class TestGaussOnce:
         with pytest.raises(ValueError, match="taken"):
             registry.gauss_once("taken")
 
+    def test_require_unstreamed_is_the_guard(self):
+        registry = RngRegistry(5)
+        registry.require_unstreamed("taken")
+        registry.stream("taken")
+        with pytest.raises(ValueError, match="taken"):
+            registry.require_unstreamed("taken")
+        registry.require_unstreamed("free")
+
 
 class TestSeedStability:
     """The (master_seed, name) -> stream mapping is a contract.

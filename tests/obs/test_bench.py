@@ -7,6 +7,7 @@ import pytest
 from repro.obs.bench import (
     BASELINE_FORMAT,
     BENCH_FORMAT,
+    _case_network_sinr,
     baseline_from_payload,
     compare_to_baseline,
     main,
@@ -54,6 +55,22 @@ class TestRunSuite:
     def test_rejects_zero_repeats(self):
         with pytest.raises(ValueError, match="repeats"):
             run_suite(0, **TINY)
+
+    def test_sinr_case_times_a_cold_build(self):
+        # Repeats rerun one seed; a memo left warm by anything earlier
+        # would let the case skip its shadowing draws.
+        from repro.dessim.rng import RngRegistry
+        from repro.phy import UnitDiskPropagation
+        from repro.phy.reception import SinrCaptureReception, sinr
+
+        warm = SinrCaptureReception(
+            UnitDiskPropagation(range_m=300.0), RngRegistry(1)
+        )
+        warm.shadowing_db(0, 1)
+        _case_network_sinr(0.001)
+        draws = sinr._MEMO.draws_for(1)
+        assert draws is not warm._unit_draws
+        assert len(sinr._MEMO._maps) == 1
 
 
 class TestBaseline:

@@ -27,7 +27,7 @@ from repro.phy import (
     UnitDiskPropagation,
     UnitDiskReception,
 )
-from repro.phy.reception import dbm_to_mw, mw_to_dbm
+from repro.phy.reception import clear_shadowing_memo, dbm_to_mw, mw_to_dbm, sinr
 
 from .conftest import RecordingMac
 
@@ -164,6 +164,7 @@ class TestShadowingDeterminism:
             assert model.shadowing_db(src, dst) == stream.gauss(0.0, 1.0) * 6.0
 
     def test_built_network_keeps_no_shadow_streams(self):
+        clear_shadowing_memo()
         placement = RngRegistry(7).stream("placement")
         topology = generate_ring_topology(TopologyConfig(n=8, rings=5), placement)
         assert len(topology.positions) == 200
@@ -174,11 +175,162 @@ class TestShadowingDeterminism:
             seed=1,
             phy_config=PhyConfig(model="sinr"),
         )
-        # Every ordered pair was shadowed, yet no stream was kept for it.
-        assert len(net.channel.reception._shadowing_db) == 200 * 199
+        # Every ordered pair was shadowed into the seed's memo map (and
+        # only those: the diagonal stays undrawn), yet no stream was
+        # kept for any of them.
+        draws = net.channel.reception._unit_draws
+        assert draws is sinr._MEMO.draws_for(net.rng.master_seed)
+        drawn = {
+            (src, dst)
+            for src in range(200)
+            for dst in range(200)
+            if not math.isnan(draws[sinr._pair_slot(src, dst)])
+        }
+        assert len(drawn) == 200 * 199
+        assert all(src != dst for src, dst in drawn)
         names = list(net.rng._streams)
         assert names, "the MACs and sources still draw from named streams"
         assert not [name for name in names if name.startswith("shadow-")]
+
+
+class TestShadowingMemo:
+    """The per-process, per-seed memo of unit shadowing draws."""
+
+    PAIRS = ((1, 2), (2, 1), (0, 199), (37, 5), (5, 5), (12, 0))
+
+    @pytest.fixture(autouse=True)
+    def cold_memo(self):
+        clear_shadowing_memo()
+        yield
+        clear_shadowing_memo()
+
+    def counted(self, seed, sigma=6.0):
+        registry = CountingRegistry(seed)
+        model = SinrCaptureReception(
+            UnitDiskPropagation(range_m=300.0),
+            registry,
+            shadowing_sigma_db=sigma,
+        )
+        return model, registry
+
+    def test_memo_served_draws_equal_the_pair_streams(self):
+        cold, cold_registry = self.counted(7)
+        first = [cold.shadowing_db(src, dst) for src, dst in self.PAIRS]
+        assert cold_registry.draws == len(self.PAIRS)
+        warm, warm_registry = self.counted(7)
+        for (src, dst), value in zip(self.PAIRS, first):
+            unit = RngRegistry(7).stream(f"shadow-{src}-{dst}").gauss(0.0, 1.0)
+            assert warm.shadowing_db(src, dst) == value == unit * 6.0
+        assert warm_registry.draws == 0, "every draw came from the memo"
+
+    def test_sigmas_on_one_seed_scale_one_unit_draw(self):
+        wide, _ = self.counted(7, sigma=6.0)
+        narrow, narrow_registry = self.counted(7, sigma=2.5)
+        assert narrow._unit_draws is wide._unit_draws
+        for src, dst in self.PAIRS:
+            unit = RngRegistry(7).stream(f"shadow-{src}-{dst}").gauss(0.0, 1.0)
+            assert wide.shadowing_db(src, dst) == unit * 6.0
+            assert narrow.shadowing_db(src, dst) == unit * 2.5
+        assert narrow_registry.draws == 0
+
+    def test_seeds_keep_separate_maps(self):
+        a, _ = self.counted(7)
+        b, b_registry = self.counted(8)
+        assert a.shadowing_db(1, 2) != b.shadowing_db(1, 2)
+        assert b_registry.draws == 1
+        expected = RngRegistry(8).stream("shadow-1-2").gauss(0.0, 1.0) * 6.0
+        assert b.shadowing_db(1, 2) == expected
+
+    def test_negative_ids_are_drawn_not_memoized(self):
+        model, registry = self.counted(7)
+        unit = RngRegistry(7).stream("shadow--1-2").gauss(0.0, 1.0)
+        assert model.shadowing_db(-1, 2) == unit * 6.0
+        assert model.shadowing_db(-1, 2) == unit * 6.0
+        assert registry.draws == 2
+        assert sinr._MEMO.pairs() == 0
+
+    def test_pair_slots_tile_each_shell(self):
+        for m in range(6):
+            slots = sorted(
+                sinr._pair_slot(src, dst)
+                for src in range(m + 1)
+                for dst in range(m + 1)
+                if max(src, dst) == m
+            )
+            assert slots == list(range(m * m, (m + 1) ** 2))
+
+    def test_eviction_keeps_the_bound(self, monkeypatch):
+        monkeypatch.setattr(sinr._MEMO, "max_pairs", 100)
+        pairs = [(src, dst) for src in range(7) for dst in range(7) if src != dst]
+        for seed in range(6):
+            model, _ = self.counted(seed)
+            for src, dst in pairs:
+                model.shadowing_db(src, dst)
+            assert sinr._MEMO.pairs() <= 100
+        # Two 49-slot maps fit: the newest seeds stay, the oldest went.
+        assert sorted(sinr._MEMO._maps) == [4, 5]
+        warm, warm_registry = self.counted(5)
+        evicted, evicted_registry = self.counted(0)
+        for src, dst in pairs:
+            unit = RngRegistry(0).stream(f"shadow-{src}-{dst}").gauss(0.0, 1.0)
+            assert evicted.shadowing_db(src, dst) == unit * 6.0
+            warm.shadowing_db(src, dst)
+        assert warm_registry.draws == 0
+        assert evicted_registry.draws == len(pairs)
+        assert sinr._MEMO.pairs() <= 100
+
+    def test_map_larger_than_the_bound_is_not_stored(self, monkeypatch):
+        monkeypatch.setattr(sinr._MEMO, "max_pairs", 100)
+        model, registry = self.counted(3)
+        unit = RngRegistry(3).stream("shadow-20-1").gauss(0.0, 1.0)
+        assert model.shadowing_db(20, 1) == unit * 6.0
+        assert model.shadowing_db(20, 1) == unit * 6.0
+        assert registry.draws == 2
+        assert sinr._MEMO.pairs() <= 100
+
+    def test_guard_fires_on_a_memo_hit(self):
+        warm, _ = self.counted(3)
+        warm.shadowing_db(1, 2)
+        registry = RngRegistry(3)
+        registry.stream("shadow-1-2")
+        model = SinrCaptureReception(
+            UnitDiskPropagation(range_m=300.0), registry, shadowing_sigma_db=6.0
+        )
+        assert model._unit_draws[sinr._pair_slot(1, 2)] == warm.shadowing_db(
+            1, 2
+        ) / 6.0
+        with pytest.raises(ValueError, match="already in use"):
+            model.shadowing_db(1, 2)
+
+    def test_cell_order_and_memo_state_do_not_change_results(self):
+        # The nine (scheme, theta) cells of one replicate share its
+        # seed, so after the first cell every build is a memo hit.
+        placement = RngRegistry(11).stream("placement")
+        topology = generate_ring_topology(TopologyConfig(n=5, rings=2), placement)
+        cells = [
+            (scheme, math.radians(theta))
+            for scheme in ("ORTS-OCTS", "DRTS-DCTS", "DRTS-OCTS")
+            for theta in (30.0, 90.0, 150.0)
+        ]
+
+        def run(scheme, beamwidth):
+            net = NetworkSimulation(
+                topology,
+                scheme,
+                beamwidth,
+                seed=5,
+                phy_config=PhyConfig(model="sinr"),
+            )
+            return net.run(10_000_000)
+
+        forward = [run(*cell) for cell in cells]
+        backward = [run(*cell) for cell in reversed(cells)][::-1]
+        cold = []
+        for cell in cells:
+            clear_shadowing_memo()
+            cold.append(run(*cell))
+        assert forward == backward == cold
+        assert sum(result.frames_captured for result in forward) > 0
 
 
 class TestAsymmetricLink:
