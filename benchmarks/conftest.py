@@ -17,7 +17,7 @@ import os
 import pytest
 
 from repro.dessim import seconds
-from repro.experiments import SimStudyConfig, SimStudyRunner
+from repro.experiments import SimStudyConfig, run_campaign
 
 
 def _env_int(name, default):
@@ -55,8 +55,7 @@ def bench_config() -> SimStudyConfig:
 def sim_grid():
     """The shared simulation campaign: (config, cells)."""
     config = bench_config()
-    runner = SimStudyRunner(config)
-    return config, runner.run_grid()
+    return config, run_campaign(config)
 
 
 def cell_lookup(cells, n, scheme, beamwidth_deg):

@@ -35,6 +35,7 @@ from .experiments import (
     format_fixed_p_table,
     format_table1,
     format_tfail_table,
+    normalize_scheme,
     run_collision_ratio,
     run_fairness,
     run_fig5,
@@ -43,6 +44,7 @@ from .experiments import (
     run_fixed_p_ablation,
     run_tfail_ablation,
 )
+from .experiments.config import SCHEMES
 from .phy.reception import RECEPTION_MODELS
 
 __all__ = ["main", "build_parser"]
@@ -85,16 +87,51 @@ def _add_sim_options(parser: argparse.ArgumentParser) -> None:
         help="SNR capture threshold (linear ratio); omit for the paper's "
         "no-capture model",
     )
+    _add_campaign_options(parser)
+
+
+_CAMPAIGN_DIR_HELP = (
+    "persist one JSON artifact per completed cell under DIR; "
+    "rerunning with the same configuration skips finished cells"
+)
+
+
+def _add_campaign_options(
+    parser: argparse.ArgumentParser, *, campaign_dir_help: str = _CAMPAIGN_DIR_HELP
+) -> None:
+    """``--seed``, ``--workers`` and ``--campaign-dir``: every campaign's flags."""
     parser.add_argument("--seed", type=int, default=2003, help="base seed")
     parser.add_argument(
         "--workers", type=int, default=None,
         help="campaign worker processes (default: REPRO_WORKERS or 1)",
     )
     parser.add_argument(
-        "--campaign-dir", default=None, metavar="DIR",
-        help="persist one JSON artifact per completed cell under DIR; "
-        "rerunning with the same configuration skips finished cells",
+        "--campaign-dir", default=None, metavar="DIR", help=campaign_dir_help
     )
+
+
+def _add_study_options(
+    parser: argparse.ArgumentParser,
+    *,
+    topologies: int,
+    campaign_dir_help: str = _CAMPAIGN_DIR_HELP,
+) -> None:
+    """The flags the ``multihop``/``slotsim``/``sinr`` studies share."""
+    parser.add_argument(
+        "--scheme", type=_str_tuple, default=None, metavar="LIST",
+        help="comma-separated schemes, case/underscore-insensitive "
+        "(e.g. drts_octs); default: the paper's three",
+    )
+    parser.add_argument(
+        "--topologies", type=int, default=topologies,
+        help="random topologies per configuration",
+    )
+    _add_campaign_options(parser, campaign_dir_help=campaign_dir_help)
+
+
+def _schemes(args: argparse.Namespace) -> tuple[str, ...]:
+    """``--scheme`` canonicalized, or the paper's three by default."""
+    return tuple(normalize_scheme(s) for s in args.scheme) if args.scheme else SCHEMES
 
 
 def _campaign_options(args: argparse.Namespace) -> dict:
@@ -173,11 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
         "multihop",
         help="end-to-end multi-hop study: routed flows over the relay plane",
     )
-    multihop.add_argument(
-        "--scheme", type=_str_tuple, default=None, metavar="LIST",
-        help="comma-separated schemes, case/underscore-insensitive "
-        "(e.g. drts_octs); default: all three",
-    )
+    _add_study_options(multihop, topologies=2)
     multihop.add_argument(
         "--beamwidth", type=_float_tuple, default=(30.0, 90.0, 150.0),
         metavar="LIST", help="comma-separated beamwidths in degrees",
@@ -195,10 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="concentric rings in each topology (default 3)",
     )
     multihop.add_argument(
-        "--topologies", type=int, default=2,
-        help="random topologies per configuration",
-    )
-    multihop.add_argument(
         "--sim-seconds", type=float, default=0.5,
         help="simulated seconds per run",
     )
@@ -214,16 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--relay-queue", type=int, default=50, help="per-node relay-queue bound"
     )
     multihop.add_argument("--ttl", type=int, default=32, help="per-packet hop budget")
-    multihop.add_argument("--seed", type=int, default=2003, help="base seed")
-    multihop.add_argument(
-        "--workers", type=int, default=None,
-        help="campaign worker processes (default: REPRO_WORKERS or 1)",
-    )
-    multihop.add_argument(
-        "--campaign-dir", default=None, metavar="DIR",
-        help="persist one JSON artifact per completed cell under DIR; "
-        "rerunning with the same configuration skips finished cells",
-    )
 
     ablation = sub.add_parser(
         "ablation",
@@ -247,14 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--beamwidths", type=_float_tuple, default=(30.0, 150.0),
         help="comma-separated beamwidths in degrees (default 30,150)",
     )
-    slotsim.add_argument(
-        "--scheme", type=_str_tuple, default=None, metavar="LIST",
-        help="comma-separated schemes (default: the paper's three)",
-    )
-    slotsim.add_argument(
-        "--topologies", type=int, default=3,
-        help="random topologies per configuration",
-    )
+    _add_study_options(slotsim, topologies=3)
     slotsim.add_argument(
         "--p", type=float, default=0.05,
         help="per-slot handshake-initiation probability",
@@ -270,16 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine", choices=("scalar", "batch"), default="batch",
         help="slot-model engine (default batch; scalar is the oracle)",
     )
-    slotsim.add_argument("--seed", type=int, default=2003, help="base seed")
-    slotsim.add_argument(
-        "--workers", type=int, default=None,
-        help="campaign worker processes (default: REPRO_WORKERS or 1)",
-    )
-    slotsim.add_argument(
-        "--campaign-dir", default=None, metavar="DIR",
-        help="persist one JSON artifact per completed cell under DIR; "
-        "rerunning with the same configuration skips finished cells",
-    )
 
     sinr = sub.add_parser(
         "sinr",
@@ -294,9 +296,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--beamwidths", type=_float_tuple, default=(30.0, 90.0, 150.0),
         help="comma-separated beamwidths in degrees (default 30,90,150)",
     )
-    sinr.add_argument(
-        "--scheme", type=_str_tuple, default=None, metavar="LIST",
-        help="comma-separated schemes (default: the paper's three)",
+    _add_study_options(
+        sinr,
+        topologies=2,
+        campaign_dir_help="persist each study arm as a campaign under "
+        "DIR/unitdisk and DIR/capture-<v>db; rerunning resumes finished cells",
     )
     sinr.add_argument(
         "--capture-db", type=_float_tuple, default=(3.0, 10.0),
@@ -317,22 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="receiver sensitivity floor in dBm (default -94)",
     )
     sinr.add_argument(
-        "--topologies", type=int, default=2,
-        help="random topologies per configuration",
-    )
-    sinr.add_argument(
         "--sim-seconds", type=float, default=0.5,
         help="simulated seconds per run",
-    )
-    sinr.add_argument("--seed", type=int, default=2003, help="base seed")
-    sinr.add_argument(
-        "--workers", type=int, default=None,
-        help="campaign worker processes (default: REPRO_WORKERS or 1)",
-    )
-    sinr.add_argument(
-        "--campaign-dir", default=None, metavar="DIR",
-        help="persist each study arm as a campaign under DIR/unitdisk "
-        "and DIR/capture-<v>db; rerunning resumes finished cells",
     )
 
     baselines = sub.add_parser(
@@ -713,19 +703,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         from .experiments.multihop import (
             MultihopStudyConfig,
             format_multihop_table,
-            normalize_scheme,
             run_multihop,
         )
 
-        schemes = (
-            tuple(normalize_scheme(s) for s in args.scheme)
-            if args.scheme
-            else ("ORTS-OCTS", "DRTS-DCTS", "DRTS-OCTS")
-        )
         config = MultihopStudyConfig(
             n_values=args.n_values,
             beamwidths_deg=args.beamwidth,
-            schemes=schemes,
+            schemes=_schemes(args),
             topologies=args.topologies,
             sim_time_ns=seconds(args.sim_seconds),
             base_seed=args.seed,
@@ -759,17 +743,11 @@ def main(argv: Sequence[str] | None = None) -> int:
             format_slotsim_table,
             run_slot_study,
         )
-        from .experiments.multihop import normalize_scheme
 
-        schemes = (
-            tuple(normalize_scheme(s) for s in args.scheme)
-            if args.scheme
-            else ("ORTS-OCTS", "DRTS-DCTS", "DRTS-OCTS")
-        )
         config = SlotStudyConfig(
             n_values=args.n_values,
             beamwidths_deg=args.beamwidths,
-            schemes=schemes,
+            schemes=_schemes(args),
             topologies=args.topologies,
             base_seed=args.seed,
             p=args.p,
@@ -783,22 +761,16 @@ def main(argv: Sequence[str] | None = None) -> int:
         )
         print(format_slotsim_table(run_slot_study(config, **_campaign_options(args))))
     elif args.command == "sinr":
-        from .experiments.multihop import normalize_scheme
         from .experiments.sinr_study import (
             SinrStudyConfig,
             format_sinr_table,
             run_sinr_study,
         )
 
-        schemes = (
-            tuple(normalize_scheme(s) for s in args.scheme)
-            if args.scheme
-            else ("ORTS-OCTS", "DRTS-DCTS", "DRTS-OCTS")
-        )
         config = SinrStudyConfig(
             n_values=args.n_values,
             beamwidths_deg=args.beamwidths,
-            schemes=schemes,
+            schemes=_schemes(args),
             topologies=args.topologies,
             sim_time_ns=seconds(args.sim_seconds),
             base_seed=args.seed,

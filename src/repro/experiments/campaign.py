@@ -39,6 +39,7 @@ function of ``(config, n, replicate)``.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -68,11 +69,12 @@ __all__ = [
     "CellSpec",
     "replicate_seed",
     "replicate_topology",
+    "cached_topology",
+    "grid_specs",
     "run_cell_spec",
-    "run_cell_spec_telemetry",
+    "measure_cell",
     "cell_telemetry",
     "config_fingerprint",
-    "study_tag",
     "CampaignStore",
     "CampaignProgress",
     "CampaignRunner",
@@ -113,6 +115,26 @@ def replicate_topology(
     return generate_ring_topology(
         TopologyConfig(n=n, rings=rings), registry.stream("placement")
     )
+
+
+@functools.lru_cache(maxsize=256)
+def cached_topology(
+    derive: Callable[[int, int, int, int], Topology],
+    base_seed: int,
+    n: int,
+    replicate: int,
+    rings: int = 3,
+) -> Topology:
+    """``derive(base_seed, n, replicate, rings)``, memoized per process.
+
+    The one topology memo of every study: a derivation such as
+    :func:`replicate_topology` is pure and scheme-blind, so each grid
+    cell on the same ``(N, replicate)`` — every scheme and beamwidth —
+    reuses one placement instead of regenerating it, in the serial loop
+    and in every shard process alike.  The bound (a few MB of ring
+    topologies) holds a paper-scale campaign's working set.
+    """
+    return derive(base_seed, n, replicate, rings)
 
 
 # ----------------------------------------------------------------------
@@ -159,6 +181,11 @@ class ReplicateMetrics:
             inner_packets_delivered=result.inner_packets_delivered,
         )
 
+    @classmethod
+    def from_record(cls, record: dict) -> "ReplicateMetrics":
+        """Rebuild from the ``dataclasses.asdict`` JSON form."""
+        return cls(**record)
+
 
 @dataclass(frozen=True)
 class CellResult:
@@ -194,26 +221,29 @@ class CellSpec:
         return f"n{self.n}-{self.scheme}-bw{self.beamwidth_deg:g}"
 
 
-# Per-process memo for worker-side topology generation: pool workers
-# run many cells of the same campaign, so replicates regenerate only
-# once per (base_seed, n, replicate) per process.  Safe because
-# replicate_topology is pure.
-_TOPOLOGY_MEMO: dict[tuple[int, int, int], Topology] = {}
+def grid_specs(config: SimStudyConfig) -> list[CellSpec]:
+    """Every grid cell of ``config`` in canonical (N, scheme, θ) order."""
+    return [
+        CellSpec(n, scheme, beamwidth, config)
+        for n in config.n_values
+        for scheme in config.schemes
+        for beamwidth in config.beamwidths_deg
+    ]
 
 
 def run_cell_spec(
     spec: CellSpec,
-    topology: Callable[[int, int], Topology] | None = None,
     metrics: MetricsRegistry | None = None,
     profiler: PhaseProfiler | None = None,
 ) -> CellResult:
     """Run all replicates of one grid cell.
 
+    The single-hop worker, shared by the sim and SINR studies: networks
+    are built with the config's ``phy_config`` (``None`` is the paper's
+    unit disk) and replicates recorded as its ``replicate_class``.
+
     Args:
         spec: the cell to run.
-        topology: optional ``(n, replicate) -> Topology`` provider (the
-            serial runner passes its cross-scheme cache); defaults to a
-            per-process memo over :func:`replicate_topology`.
         metrics: optional telemetry registry threaded through to every
             replicate's :class:`NetworkSimulation`.
         profiler: optional phase profiler; accumulates "topology gen",
@@ -228,18 +258,12 @@ def run_cell_spec(
     ``tests/obs`` asserts this).
     """
     cfg = spec.config
+    phy_config = cfg.phy_config
+    replicate_class = cfg.replicate_class
     results = []
     for replicate in range(cfg.topologies):
         with profiler.phase("topology gen") if profiler else nullcontext():
-            if topology is not None:
-                topo = topology(spec.n, replicate)
-            else:
-                memo_key = (cfg.base_seed, spec.n, replicate)
-                if memo_key not in _TOPOLOGY_MEMO:
-                    _TOPOLOGY_MEMO[memo_key] = replicate_topology(
-                        cfg.base_seed, spec.n, replicate
-                    )
-                topo = _TOPOLOGY_MEMO[memo_key]
+            topo = cached_topology(replicate_topology, cfg.base_seed, spec.n, replicate)
         seed = replicate_seed(cfg.base_seed, spec.n, replicate)
         with profiler.phase("build") if profiler else nullcontext():
             simulation = NetworkSimulation(
@@ -250,9 +274,10 @@ def run_cell_spec(
                 mac_params=cfg.mac_params,
                 phy_params=cfg.phy_params,
                 metrics=metrics,
+                phy_config=phy_config,
             )
         result = simulation.run(cfg.sim_time_ns, profiler=profiler)
-        results.append(ReplicateMetrics.from_result(replicate, seed, result))
+        results.append(replicate_class.from_result(replicate, seed, result))
     return CellResult(
         n=spec.n,
         scheme=spec.scheme,
@@ -284,19 +309,19 @@ def cell_telemetry(
     )
 
 
-def run_cell_spec_telemetry(
-    spec: CellSpec,
-    topology: Callable[[int, int], Topology] | None = None,
+def measure_cell(
+    worker: Callable[..., CellResult], spec: CellSpec
 ) -> tuple[CellResult, dict]:
-    """Worker variant that also measures: (cell result, telemetry record).
+    """Run any study's cell ``worker`` under observation.
 
-    Same purity contract as :func:`run_cell_spec` for the *result*; the
-    telemetry record carries host-dependent timings and is excluded
-    from resume/equality semantics.
+    Returns ``(cell result, repro-telemetry-v1 record)``.  Same purity
+    contract as the worker for the *result*; the telemetry record
+    carries host-dependent timings and is excluded from resume/equality
+    semantics.
     """
     metrics = MetricsRegistry()
     profiler = PhaseProfiler()
-    cell = run_cell_spec(spec, topology=topology, metrics=metrics, profiler=profiler)
+    cell = worker(spec, metrics=metrics, profiler=profiler)
     return cell, cell_telemetry(spec, metrics, profiler)
 
 
@@ -310,20 +335,6 @@ def config_fingerprint(config: SimStudyConfig) -> str:
     record = dataclasses.asdict(config)
     blob = json.dumps(record, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
-
-
-def study_tag(config: SimStudyConfig) -> str:
-    """The manifest ``study`` tag for a config instance.
-
-    Delegates to the dispatch registry's tag table (deferred import —
-    the dispatch package sits above this module), so a study family is
-    registered in exactly one place and a tag this store writes is
-    always one :func:`~repro.experiments.dispatch.registry.
-    resolve_study` can join.
-    """
-    from .dispatch.registry import study_tag as registry_study_tag
-
-    return registry_study_tag(config)
 
 
 class CampaignStore:
@@ -368,6 +379,8 @@ class CampaignStore:
                     "directory or the original configuration)"
                 )
         else:
+            from .dispatch.registry import study_tag  # deferred: registry imports us
+
             payload = {
                 "format": self.MANIFEST_FORMAT,
                 "study": study_tag(config),
@@ -565,9 +578,8 @@ def _echo_stderr(message: str) -> None:
 class CampaignRunner:
     """Executes a study grid: fan-out, persistence, resume, progress.
 
-    With ``workers == 1`` cells run in-process (sharing one topology
-    cache across schemes, as the serial runner always has); with more,
-    this is a thin single-host facade over the dispatch subsystem:
+    With ``workers == 1`` cells run in-process, one after another; with
+    more, this is a thin single-host facade over the dispatch subsystem:
     worker processes each run a :class:`~repro.experiments.dispatch.
     ShardRunner` against the shared store (a temporary directory when
     none was given), leasing cells, streaming events, and surviving
@@ -584,27 +596,19 @@ class CampaignRunner:
         progress: CampaignProgress | None = None,
         telemetry: bool = True,
         worker: Callable[..., CellResult] | None = None,
-        worker_telemetry: Callable[..., tuple[CellResult, dict]] | None = None,
-        topology_fn: Callable[[int, int, int], Topology] | None = None,
         lease_seconds: float | None = None,
         poll_seconds: float = 0.2,
     ) -> None:
         """Build the runner.
 
         Args:
-            worker: cell worker, ``(spec, topology=...) -> CellResult``;
-                defaults to :func:`run_cell_spec`.  Must be a top-level
-                module function — parallel campaigns pickle it to worker
-                processes.  Other studies (e.g. the multi-hop driver in
-                :mod:`repro.experiments.multihop`) plug their own in.
-            worker_telemetry: measuring variant, ``(spec, topology=...)
-                -> (CellResult, telemetry record)``; defaults to
-                :func:`run_cell_spec_telemetry`.
-            topology_fn: ``(base_seed, n, replicate) -> Topology`` used
-                by the serial path's cross-scheme topology cache;
-                defaults to :func:`replicate_topology`.  Must match the
-                derivation the worker uses internally, or serial and
-                parallel runs would diverge.
+            worker: cell worker, ``(spec, metrics=None, profiler=None)
+                -> CellResult``; defaults to the worker the study table
+                (:data:`~repro.experiments.dispatch.registry.STUDIES`)
+                registers for the config's class, and an unregistered
+                class without one is a ``ValueError``.  Must be a
+                top-level module function — parallel campaigns pickle
+                it to worker processes.
             lease_seconds: lease expiry for the sharded (``workers >
                 1``) path; default is the dispatch layer's.  Workers on
                 one healthy host rarely need tuning — the knob exists
@@ -620,6 +624,10 @@ class CampaignRunner:
             from .dispatch.queue import DEFAULT_LEASE_SECONDS
 
             lease_seconds = DEFAULT_LEASE_SECONDS
+        if worker is None:
+            from .dispatch.registry import study_for
+
+            worker = study_for(config).worker
         self.config = config
         self.workers = workers
         self.lease_seconds = lease_seconds
@@ -627,23 +635,14 @@ class CampaignRunner:
         self.store = None if directory is None else CampaignStore(directory, config)
         self.progress = progress
         self.telemetry = telemetry
-        self.worker = run_cell_spec if worker is None else worker
-        self.worker_telemetry = (
-            run_cell_spec_telemetry if worker_telemetry is None else worker_telemetry
-        )
-        self.topology_fn = replicate_topology if topology_fn is None else topology_fn
+        self.worker = worker
         #: Telemetry records of the cells *this* run computed (skipped
         #: cells re-emit nothing; their lines are already on disk).
         self.telemetry_records: list[dict] = []
 
     def specs(self) -> list[CellSpec]:
         """Every grid cell, in the canonical (N, scheme, beamwidth) order."""
-        return [
-            CellSpec(n, scheme, beamwidth, self.config)
-            for n in self.config.n_values
-            for scheme in self.config.schemes
-            for beamwidth in self.config.beamwidths_deg
-        ]
+        return grid_specs(self.config)
 
     def run(self) -> list[CellResult]:
         """Run (or resume) the campaign; results follow ``specs()`` order."""
@@ -661,21 +660,11 @@ class CampaignRunner:
             else:
                 pending.append(spec)
         if self.workers == 1 or len(pending) <= 1:
-            cache: dict[tuple[int, int], Topology] = {}
-
-            def provider(n: int, replicate: int) -> Topology:
-                key = (n, replicate)
-                if key not in cache:
-                    cache[key] = self.topology_fn(
-                        self.config.base_seed, n, replicate
-                    )
-                return cache[key]
-
             for spec in pending:
                 if self.telemetry:
-                    cell, record = self.worker_telemetry(spec, topology=provider)
+                    cell, record = measure_cell(self.worker, spec)
                 else:
-                    cell, record = self.worker(spec, topology=provider), None
+                    cell, record = self.worker(spec), None
                 self._finish(spec, cell, results, record)
         else:
             self._run_sharded(pending, results)
@@ -692,9 +681,7 @@ class CampaignRunner:
         ShardRunner` leasing cells from the (given or temporary) store;
         the parent tails the store's event stream to drive per-cell
         progress lines while the sweep runs, then loads the results
-        back.  The study's ``topology_fn`` closure never crosses the
-        process boundary — shards use their worker-side topology memos,
-        exactly as the pool path always has.
+        back.
         """
         import tempfile
         import time
@@ -728,7 +715,6 @@ class CampaignRunner:
                     self.config,
                     str(index),
                     self.worker,
-                    self.worker_telemetry,
                     self.telemetry,
                     self.lease_seconds,
                     self.poll_seconds,
@@ -819,21 +805,21 @@ def run_campaign(
     progress: CampaignProgress | None = None,
     telemetry: bool = True,
     worker: Callable[..., CellResult] | None = None,
-    worker_telemetry: Callable[..., tuple[CellResult, dict]] | None = None,
-    topology_fn: Callable[[int, int, int], Topology] | None = None,
     lease_seconds: float | None = None,
     poll_seconds: float = 0.2,
 ) -> list[CellResult]:
     """Convenience wrapper: build a :class:`CampaignRunner` and run it.
 
-    ``workers=None`` reads ``REPRO_WORKERS`` (default 1).  With a
-    ``directory``, per-cell telemetry JSONL accumulates next to the
-    cell artifacts and its totals are merged into the manifest;
+    The config's class picks the study's cell worker from the study
+    table, so ``run_campaign(config)`` runs any registered study the
+    same way; ``workers=None`` reads ``REPRO_WORKERS`` (default 1).
+    With a ``directory``, per-cell telemetry JSONL accumulates next to
+    the cell artifacts and its totals are merged into the manifest;
     ``telemetry=False`` switches all observation off (results are
-    identical either way).  ``worker``/``worker_telemetry``/
-    ``topology_fn`` plug an alternate study in, and
-    ``lease_seconds``/``poll_seconds`` tune the sharded path's crash
-    takeover (see :class:`CampaignRunner`).
+    identical either way).  ``worker`` overrides the table's worker
+    (the seam tests use to inject one), and ``lease_seconds``/
+    ``poll_seconds`` tune the sharded path's crash takeover (see
+    :class:`CampaignRunner`).
     """
     return CampaignRunner(
         config,
@@ -842,8 +828,6 @@ def run_campaign(
         progress=progress,
         telemetry=telemetry,
         worker=worker,
-        worker_telemetry=worker_telemetry,
-        topology_fn=topology_fn,
         lease_seconds=lease_seconds,
         poll_seconds=poll_seconds,
     ).run()

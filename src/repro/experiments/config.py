@@ -29,12 +29,35 @@ from dataclasses import dataclass, field
 
 from ..dessim.units import seconds
 from ..mac.config import MacParameters
+from ..mac.policy import POLICIES
 from ..phy.frames import PhyParameters
+from ..phy.reception import PhyConfig
 
-__all__ = ["SimStudyConfig", "from_environment", "workers_from_environment"]
+__all__ = [
+    "SimStudyConfig",
+    "from_environment",
+    "normalize_scheme",
+    "workers_from_environment",
+]
 
 #: Scheme names in the paper's presentation order.
 SCHEMES = ("ORTS-OCTS", "DRTS-DCTS", "DRTS-OCTS")
+
+
+def normalize_scheme(name: str) -> str:
+    """Canonicalize a scheme name (``"drts_octs"`` → ``"DRTS-OCTS"``).
+
+    CLI surfaces accept lowercase/underscore spellings; everything
+    internal uses the paper's hyphenated uppercase names (the
+    :data:`~repro.mac.policy.POLICIES` keys).
+    """
+    canonical = name.strip().upper().replace("_", "-")
+    if canonical not in POLICIES:
+        raise ValueError(
+            f"unknown scheme {name!r}; expected one of {sorted(POLICIES)} "
+            "(case/underscore-insensitive)"
+        )
+    return canonical
 
 
 @dataclass(frozen=True)
@@ -55,6 +78,12 @@ class SimStudyConfig:
             raise ValueError("need at least one N value")
         if any(n < 2 for n in self.n_values):
             raise ValueError(f"N values must be >= 2, got {self.n_values}")
+        unknown = [s for s in self.schemes if s not in POLICIES]
+        if unknown:
+            raise ValueError(
+                f"unknown schemes {unknown}; expected names from "
+                f"{sorted(POLICIES)} (normalize_scheme canonicalizes spellings)"
+            )
         if not self.beamwidths_deg:
             raise ValueError("need at least one beamwidth")
         if any(not 0 < b <= 360 for b in self.beamwidths_deg):
@@ -73,6 +102,20 @@ class SimStudyConfig:
     @property
     def phy_params(self) -> PhyParameters:
         return PhyParameters(capture_threshold=self.capture_threshold)
+
+    @property
+    def phy_config(self) -> PhyConfig | None:
+        """The reception model :func:`~repro.experiments.campaign.
+        run_cell_spec` builds networks with (``None``: the unit disk)."""
+        return None
+
+    @property
+    def replicate_class(self) -> type:
+        """The replicate record :func:`~repro.experiments.campaign.
+        run_cell_spec` emits for this config."""
+        from .campaign import ReplicateMetrics  # deferred: campaign imports us
+
+        return ReplicateMetrics
 
 
 def _env_int(name: str, default: int) -> int:

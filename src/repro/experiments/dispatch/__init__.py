@@ -13,9 +13,10 @@ one host; this package makes them *distributable*.  The pieces:
 * :mod:`~repro.experiments.dispatch.events` — the append-only
   ``events.jsonl`` result stream and :func:`watch_campaign`
   (``repro campaign-watch``) for rendering progress mid-sweep;
-* :mod:`~repro.experiments.dispatch.registry` — manifest ``study`` tag
-  to config-class/worker resolution, so CLI workers join a store
-  without re-stating its grid.
+* :mod:`~repro.experiments.dispatch.registry` — the study table: one
+  :class:`Study` row per campaign family, from which default workers,
+  manifest ``study`` tags, and CLI workers' config/worker resolution
+  all derive.
 
 Determinism contract, unchanged from the serial runner: same config and
 seed produce byte-identical cell artifacts and manifest no matter how
@@ -32,7 +33,14 @@ from .events import (
     watch_campaign,
 )
 from .queue import DEFAULT_LEASE_SECONDS, Lease, WorkQueue, backoff_seconds
-from .registry import StudyKind, config_from_manifest, resolve_study, study_tag
+from .registry import (
+    STUDIES,
+    Study,
+    config_from_manifest,
+    resolve_study,
+    study_for,
+    study_tag,
+)
 from .shard import ShardReport, ShardRunner, grid_specs, run_shard
 
 __all__ = [
@@ -42,7 +50,8 @@ __all__ = [
     "Lease",
     "ShardReport",
     "ShardRunner",
-    "StudyKind",
+    "STUDIES",
+    "Study",
     "WatchSummary",
     "WorkQueue",
     "backoff_seconds",
@@ -51,6 +60,7 @@ __all__ = [
     "grid_specs",
     "read_events",
     "resolve_study",
+    "study_for",
     "study_tag",
     "run_shard",
     "tail_events",

@@ -1,17 +1,16 @@
-"""Resolving a campaign manifest back into runnable study code.
+"""The study table: one :class:`Study` record per campaign family.
 
-A CLI-launched worker shard (``repro campaign-worker --store DIR``)
-joins a campaign knowing only the store directory.  Everything else is
-in the manifest: the config dict rebuilds the study configuration, and
-the ``study`` tag (written by :class:`~repro.experiments.campaign.
-CampaignStore` from the config's class) selects the worker functions —
-the same plug points :func:`~repro.experiments.campaign.run_campaign`
-takes as keyword arguments.  Manifests written before the tag existed
+Everything study-specific that the execution layers need hangs off the
+config class: :data:`STUDIES` maps each registered config class to its
+manifest ``study`` tag and its cell worker.  The campaign runner and
+:class:`~repro.experiments.dispatch.ShardRunner` take their default
+worker from it (:func:`study_for`), :class:`~repro.experiments.campaign.
+CampaignStore` stamps manifests with its tag (:func:`study_tag`), and a
+CLI-launched worker shard (``repro campaign-worker --store DIR``), which
+knows only the store directory, rebuilds config and worker from the
+manifest through it (:func:`config_from_manifest`).  Adding a study
+means adding one row here.  Manifests written before the tag existed
 are single-hop sims (``"sim"``), matching how their artifacts load.
-
-Imports of the study modules are deferred inside :func:`resolve_study`
-so this module can sit below :mod:`repro.experiments.multihop` and
-:mod:`repro.experiments.slotsim_study` without an import cycle.
 """
 
 from __future__ import annotations
@@ -19,86 +18,77 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-__all__ = ["StudyKind", "resolve_study", "study_tag", "config_from_manifest"]
+from ..campaign import CellResult, config_fingerprint, run_cell_spec
+from ..config import SimStudyConfig
+from ..multihop import MultihopStudyConfig, run_multihop_cell_spec
+from ..sinr_study import SinrStudyConfig
+from ..slotsim_study import SlotStudyConfig, run_slot_cell_spec
 
-#: Config class name -> manifest study tag.  The single source of
-#: truth for tagging — :func:`repro.experiments.campaign.study_tag`
-#: (which stamps manifests) delegates here, so registering a study
-#: means adding it to this table *and* a :func:`resolve_study` branch,
-#: in this one file.  Unknown subclasses fall back to their class
-#: name, which :func:`resolve_study` rejects with a pointer at the
-#: Python API (plugged-in studies are joined via
-#: :class:`~repro.experiments.dispatch.ShardRunner`, not the CLI).
-_TAGS = {
-    "SimStudyConfig": "sim",
-    "MultihopStudyConfig": "multihop",
-    "SlotStudyConfig": "slotsim",
-    "SinrStudyConfig": "sinr",
-}
+__all__ = [
+    "STUDIES",
+    "Study",
+    "config_from_manifest",
+    "resolve_study",
+    "study_for",
+    "study_tag",
+]
 
 
 @dataclass(frozen=True)
-class StudyKind:
+class Study:
     """The runnable pieces of one registered study family."""
 
     tag: str
     config_cls: type
-    worker: Callable
-    worker_telemetry: Callable
+    #: ``(spec, metrics=None, profiler=None) -> CellResult``, a
+    #: top-level function so sharded campaigns can pickle it.
+    worker: Callable[..., CellResult]
+
+
+#: Config class -> its study.  The SINR study reuses the single-hop
+#: worker: its config supplies the reception model and replicate class.
+STUDIES: dict[type, Study] = {
+    study.config_cls: study
+    for study in (
+        Study("sim", SimStudyConfig, run_cell_spec),
+        Study("multihop", MultihopStudyConfig, run_multihop_cell_spec),
+        Study("slotsim", SlotStudyConfig, run_slot_cell_spec),
+        Study("sinr", SinrStudyConfig, run_cell_spec),
+    )
+}
+
+
+def study_for(config) -> Study:
+    """The registered :class:`Study` for a config instance's class.
+
+    Exact class lookup: a subclass of a registered config is a new
+    study, never silently run by its parent's worker.
+    """
+    study = STUDIES.get(type(config))
+    if study is None:
+        raise ValueError(
+            f"{type(config).__name__} is not a registered study: add a Study "
+            "row to repro.experiments.dispatch.registry.STUDIES, or pass "
+            "worker= explicitly"
+        )
+    return study
 
 
 def study_tag(config) -> str:
-    """The manifest ``study`` tag for a config instance."""
-    name = type(config).__name__
-    return _TAGS.get(name, name)
+    """The manifest ``study`` tag for a config instance.
+
+    Unregistered classes (run with an explicit ``worker=``) are tagged
+    with their class name, which :func:`resolve_study` rejects.
+    """
+    study = STUDIES.get(type(config))
+    return type(config).__name__ if study is None else study.tag
 
 
-def resolve_study(tag: str) -> StudyKind:
-    """The registered :class:`StudyKind` for a manifest ``study`` tag."""
-    if tag == "sim":
-        from ..campaign import run_cell_spec, run_cell_spec_telemetry
-        from ..config import SimStudyConfig
-
-        return StudyKind("sim", SimStudyConfig, run_cell_spec, run_cell_spec_telemetry)
-    if tag == "multihop":
-        from ..multihop import (
-            MultihopStudyConfig,
-            run_multihop_cell_spec,
-            run_multihop_cell_spec_telemetry,
-        )
-
-        return StudyKind(
-            "multihop",
-            MultihopStudyConfig,
-            run_multihop_cell_spec,
-            run_multihop_cell_spec_telemetry,
-        )
-    if tag == "slotsim":
-        from ..slotsim_study import (
-            SlotStudyConfig,
-            run_slot_cell_spec,
-            run_slot_cell_spec_telemetry,
-        )
-
-        return StudyKind(
-            "slotsim",
-            SlotStudyConfig,
-            run_slot_cell_spec,
-            run_slot_cell_spec_telemetry,
-        )
-    if tag == "sinr":
-        from ..sinr_study import (
-            SinrStudyConfig,
-            run_sinr_cell_spec,
-            run_sinr_cell_spec_telemetry,
-        )
-
-        return StudyKind(
-            "sinr",
-            SinrStudyConfig,
-            run_sinr_cell_spec,
-            run_sinr_cell_spec_telemetry,
-        )
+def resolve_study(tag: str) -> Study:
+    """The registered :class:`Study` for a manifest ``study`` tag."""
+    for study in STUDIES.values():
+        if study.tag == tag:
+            return study
     raise ValueError(
         f"unknown study {tag!r}: this store was built by a study plugged "
         "in through the Python API; join it with ShardRunner(config=..., "
@@ -112,7 +102,7 @@ def _tuplify(value):
     return value
 
 
-def config_from_manifest(manifest: dict) -> tuple[object, StudyKind]:
+def config_from_manifest(manifest: dict) -> tuple[object, Study]:
     """Rebuild ``(config, study)`` from a campaign manifest payload.
 
     JSON demotes the config's tuples to lists; rebuilding converts them
@@ -121,8 +111,6 @@ def config_from_manifest(manifest: dict) -> tuple[object, StudyKind]:
     was edited or the config schema drifted, either of which must stop
     a worker before it computes a single wrong cell.
     """
-    from ..campaign import config_fingerprint
-
     study = resolve_study(manifest.get("study", "sim"))
     raw = manifest.get("config")
     if not isinstance(raw, dict):

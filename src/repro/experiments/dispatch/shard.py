@@ -29,22 +29,12 @@ from typing import Callable, Sequence
 from ...obs.metrics import MetricsRegistry
 from ...obs.profile import epoch_seconds
 from ...obs.telemetry import telemetry_record
-from ..campaign import CampaignStore, CellSpec
+from ..campaign import CampaignStore, CellSpec, grid_specs, measure_cell
 from .events import EVENTS_FILENAME, EventLog
 from .queue import DEFAULT_LEASE_SECONDS, WorkQueue, backoff_seconds
-from .registry import config_from_manifest
+from .registry import config_from_manifest, study_for
 
 __all__ = ["ShardReport", "ShardRunner", "grid_specs", "run_shard"]
-
-
-def grid_specs(config) -> list[CellSpec]:
-    """Every grid cell of ``config`` in canonical (N, scheme, θ) order."""
-    return [
-        CellSpec(n, scheme, beamwidth, config)
-        for n in config.n_values
-        for scheme in config.schemes
-        for beamwidth in config.beamwidths_deg
-    ]
 
 
 @dataclass(frozen=True)
@@ -66,13 +56,13 @@ class ShardRunner:
     Args:
         directory: the campaign store directory (shared filesystem).
         config: the study configuration.  ``None`` loads it from the
-            store manifest and resolves the worker functions from the
-            manifest's ``study`` tag — how CLI workers join without
-            re-stating the grid.
+            store manifest and resolves the worker from the manifest's
+            ``study`` tag — how CLI workers join without re-stating the
+            grid.
         shard_id: this worker's identity in leases and events.
-        worker / worker_telemetry: the study's cell functions (same
-            plug points as ``run_campaign``); default to the single-hop
-            sim workers when a ``config`` is given explicitly.
+        worker: the study's cell worker (same override as
+            ``run_campaign``); defaults to the study table's worker for
+            the config's class.
         telemetry: write per-cell ``repro-telemetry-v1`` lines and a
             final shard record with the scheduler counters.  Strictly
             observational — cell artifacts are identical either way.
@@ -91,7 +81,6 @@ class ShardRunner:
         *,
         shard_id: str | int,
         worker: Callable | None = None,
-        worker_telemetry: Callable | None = None,
         telemetry: bool = True,
         lease_seconds: float = DEFAULT_LEASE_SECONDS,
         poll_seconds: float = 0.2,
@@ -115,23 +104,10 @@ class ShardRunner:
                 json.loads(manifest_path.read_text())
             )
             worker = study.worker if worker is None else worker
-            worker_telemetry = (
-                study.worker_telemetry
-                if worker_telemetry is None
-                else worker_telemetry
-            )
-        elif worker is None or worker_telemetry is None:
-            from ..campaign import run_cell_spec, run_cell_spec_telemetry
-
-            worker = run_cell_spec if worker is None else worker
-            worker_telemetry = (
-                run_cell_spec_telemetry
-                if worker_telemetry is None
-                else worker_telemetry
-            )
+        elif worker is None:
+            worker = study_for(config).worker
         self.config = config
         self.worker = worker
-        self.worker_telemetry = worker_telemetry
         self.telemetry = telemetry
         self.poll_seconds = poll_seconds
         self._clock = epoch_seconds if clock is None else clock
@@ -204,7 +180,7 @@ class ShardRunner:
                 cell_start = self._clock()
                 try:
                     if self.telemetry:
-                        cell, record = self.worker_telemetry(spec)
+                        cell, record = measure_cell(self.worker, spec)
                     else:
                         cell, record = self.worker(spec), None
                     wrote = self.store.save_if_absent(spec, cell)
@@ -271,8 +247,7 @@ def run_shard(
     directory: str,
     config,
     shard_id: str,
-    worker: Callable | None,
-    worker_telemetry: Callable | None,
+    worker: Callable,
     telemetry: bool,
     lease_seconds: float,
     poll_seconds: float,
@@ -283,7 +258,6 @@ def run_shard(
         config,
         shard_id=shard_id,
         worker=worker,
-        worker_telemetry=worker_telemetry,
         telemetry=telemetry,
         lease_seconds=lease_seconds,
         poll_seconds=poll_seconds,

@@ -22,10 +22,13 @@ import csv
 import dataclasses
 import json
 import pathlib
-from typing import Sequence
+from typing import Any, Sequence
 
 from .campaign import CellResult, ReplicateMetrics
 from .fig5 import Fig5Row
+from .multihop import MultihopReplicateMetrics
+from .sinr_study import SinrReplicateMetrics
+from .slotsim_study import SlotReplicateMetrics
 
 __all__ = [
     "grid_to_records",
@@ -98,27 +101,16 @@ def save_grid_csv(cells: Sequence[CellResult], path: str | pathlib.Path) -> None
 CELL_FORMAT = "repro-cell-v1"
 
 
-def _replicate_decoder(kind: str):
-    """The record-rebuild function for one replicate ``kind``.
-
-    Deferred imports keep this module importable from
-    :mod:`repro.experiments.campaign`'s methods without a cycle.
-    """
-    if kind == "sim":
-        return lambda record: ReplicateMetrics(**record)
-    if kind == "multihop":
-        from .multihop import MultihopReplicateMetrics
-
-        return MultihopReplicateMetrics.from_record
-    if kind == "slotsim":
-        from .slotsim_study import SlotReplicateMetrics
-
-        return SlotReplicateMetrics.from_record
-    if kind == "sinr":
-        from .sinr_study import SinrReplicateMetrics
-
-        return SinrReplicateMetrics.from_record
-    raise ValueError(f"unknown replicate kind {kind!r}")
+#: Replicate ``kind`` tag -> the class whose ``from_record`` rebuilds it.
+_REPLICATE_CLASSES: dict[str, Any] = {
+    cls.kind: cls
+    for cls in (
+        ReplicateMetrics,
+        MultihopReplicateMetrics,
+        SlotReplicateMetrics,
+        SinrReplicateMetrics,
+    )
+}
 
 
 def cell_to_payload(cell: CellResult) -> dict:
@@ -150,12 +142,17 @@ def cell_from_payload(payload: dict) -> CellResult:
         raise ValueError(
             f"not a repro cell payload (format={payload.get('format')!r})"
         )
-    decode = _replicate_decoder(payload.get("kind", "sim"))
+    kind = payload.get("kind", "sim")
+    if kind not in _REPLICATE_CLASSES:
+        raise ValueError(f"unknown replicate kind {kind!r}")
+    replicate_class = _REPLICATE_CLASSES[kind]
     return CellResult(
         n=payload["n"],
         scheme=payload["scheme"],
         beamwidth_deg=payload["beamwidth_deg"],
-        results=tuple(decode(record) for record in payload["replicates"]),
+        results=tuple(
+            replicate_class.from_record(record) for record in payload["replicates"]
+        ),
     )
 
 

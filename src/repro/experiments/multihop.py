@@ -9,9 +9,10 @@ per node and reports per-flow goodput, origination-to-delivery delay,
 and hop counts.
 
 The campaign machinery is shared with the single-hop study: cells are
-:class:`~repro.experiments.campaign.CellSpec` work units (so the PR-2
-runner's parallelism, persistence, and resume apply unchanged), with
-this module's worker functions and topology derivation plugged in.
+:class:`~repro.experiments.campaign.CellSpec` work units (so the
+runner's parallelism, persistence, and resume apply unchanged), run by
+this module's worker, which the study table registers for
+:class:`MultihopStudyConfig`.
 
 Determinism contract: every replicate is a pure function of
 ``(config, n, replicate)`` — serial and parallel campaigns, and
@@ -25,11 +26,10 @@ import math
 import pathlib
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Callable, ClassVar, Sequence
+from typing import ClassVar, Sequence
 
 from ..dessim.rng import RngRegistry
 from ..dessim.units import milliseconds
-from ..mac.policy import POLICIES
 from ..metrics.flows import FlowRecord
 from ..metrics.summary import ReplicateSummary, summarize
 from ..net.multihop import (
@@ -44,7 +44,7 @@ from .campaign import (
     CampaignProgress,
     CellResult,
     CellSpec,
-    cell_telemetry,
+    cached_topology,
     replicate_seed,
     run_campaign,
 )
@@ -54,31 +54,13 @@ __all__ = [
     "MultihopStudyConfig",
     "MultihopReplicateMetrics",
     "MultihopCell",
-    "normalize_scheme",
     "multihop_replicate_topology",
     "run_multihop_cell_spec",
-    "run_multihop_cell_spec_telemetry",
     "run_multihop",
     "multihop_from_environment",
     "summarize_multihop",
     "format_multihop_table",
 ]
-
-
-def normalize_scheme(name: str) -> str:
-    """Canonicalize a scheme name (``"drts_octs"`` → ``"DRTS-OCTS"``).
-
-    CLI surfaces accept lowercase/underscore spellings; everything
-    internal uses the paper's hyphenated uppercase names (the
-    :data:`~repro.mac.policy.POLICIES` keys).
-    """
-    canonical = name.strip().upper().replace("_", "-")
-    if canonical not in POLICIES:
-        raise ValueError(
-            f"unknown scheme {name!r}; expected one of {sorted(POLICIES)} "
-            "(case/underscore-insensitive)"
-        )
-    return canonical
 
 
 @dataclass(frozen=True)
@@ -210,14 +192,8 @@ def multihop_replicate_topology(
     )
 
 
-# Per-process memo, as in campaign.py: pool workers run many cells of
-# the same campaign, and topologies are scheme-blind by design.
-_TOPOLOGY_MEMO: dict[tuple[int, int, int, int], Topology] = {}
-
-
 def run_multihop_cell_spec(
     spec: CellSpec,
-    topology: Callable[[int, int], Topology] | None = None,
     metrics: MetricsRegistry | None = None,
     profiler: PhaseProfiler | None = None,
 ) -> CellResult:
@@ -237,15 +213,9 @@ def run_multihop_cell_spec(
     results = []
     for replicate in range(cfg.topologies):
         with profiler.phase("topology gen") if profiler else nullcontext():
-            if topology is not None:
-                topo = topology(spec.n, replicate)
-            else:
-                memo_key = (cfg.base_seed, spec.n, replicate, cfg.rings)
-                if memo_key not in _TOPOLOGY_MEMO:
-                    _TOPOLOGY_MEMO[memo_key] = multihop_replicate_topology(
-                        cfg.base_seed, spec.n, replicate, rings=cfg.rings
-                    )
-                topo = _TOPOLOGY_MEMO[memo_key]
+            topo = cached_topology(
+                multihop_replicate_topology, cfg.base_seed, spec.n, replicate, cfg.rings
+            )
         seed = replicate_seed(cfg.base_seed, spec.n, replicate)
         with profiler.phase("build") if profiler else nullcontext():
             simulation = MultihopNetworkSimulation(
@@ -270,19 +240,6 @@ def run_multihop_cell_spec(
         beamwidth_deg=spec.beamwidth_deg,
         results=tuple(results),
     )
-
-
-def run_multihop_cell_spec_telemetry(
-    spec: CellSpec,
-    topology: Callable[[int, int], Topology] | None = None,
-) -> tuple[CellResult, dict]:
-    """Measuring variant: (cell result, ``repro-telemetry-v1`` record)."""
-    metrics = MetricsRegistry()
-    profiler = PhaseProfiler()
-    cell = run_multihop_cell_spec(
-        spec, topology=topology, metrics=metrics, profiler=profiler
-    )
-    return cell, cell_telemetry(spec, metrics, profiler)
 
 
 # ----------------------------------------------------------------------
@@ -339,19 +296,12 @@ def run_multihop(
     are byte-identical.
     """
     cfg = config if config is not None else multihop_from_environment()
-
-    def topology_fn(base_seed: int, n: int, replicate: int) -> Topology:
-        return multihop_replicate_topology(base_seed, n, replicate, rings=cfg.rings)
-
     cells = run_campaign(
         cfg,
         workers=workers,
         directory=directory,
         progress=progress,
         telemetry=telemetry,
-        worker=run_multihop_cell_spec,
-        worker_telemetry=run_multihop_cell_spec_telemetry,
-        topology_fn=topology_fn,
     )
     return summarize_multihop(cells)
 

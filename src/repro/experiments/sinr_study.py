@@ -10,9 +10,11 @@ table shows where capture rescues collisions (and asymmetric shadowed
 links hurt) as the beam narrows.
 
 The campaign machinery is reused unchanged — cells are
-:class:`~repro.experiments.campaign.CellSpec` work units with this
-module's worker plugged in, so parallel/sharded execution, persistence
-and resume all apply.  The unit-disk arm of the study emits plain
+:class:`~repro.experiments.campaign.CellSpec` work units run by the
+single-hop worker :func:`~repro.experiments.campaign.run_cell_spec`,
+which takes the reception model and replicate class from the config,
+so parallel/sharded execution, persistence and resume all apply.  The
+unit-disk arm of the study emits plain
 :class:`~repro.experiments.campaign.ReplicateMetrics` records: its
 cell artifacts are byte-identical to a single-hop study's (the CI
 equivalence smoke diffs them), while the SINR arms carry
@@ -27,36 +29,20 @@ byte-identical.
 from __future__ import annotations
 
 import dataclasses
-import math
 import pathlib
-from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Callable, ClassVar, Sequence
+from typing import ClassVar, Sequence
 
 from ..metrics.summary import ReplicateSummary, summarize
-from ..net.network import NetworkSimulation, SimulationResult
-from ..net.topology import Topology
-from ..obs.metrics import MetricsRegistry
-from ..obs.profile import PhaseProfiler
+from ..net.network import SimulationResult
 from ..phy.reception import PhyConfig
-from .campaign import (
-    CampaignProgress,
-    CellResult,
-    CellSpec,
-    ReplicateMetrics,
-    cell_telemetry,
-    replicate_seed,
-    replicate_topology,
-    run_campaign,
-)
+from .campaign import CampaignProgress, CellResult, ReplicateMetrics, run_campaign
 from .config import SimStudyConfig, from_environment
 
 __all__ = [
     "SinrStudyConfig",
     "SinrReplicateMetrics",
     "SinrArmCell",
-    "run_sinr_cell_spec",
-    "run_sinr_cell_spec_telemetry",
     "run_sinr_study",
     "sinr_from_environment",
     "summarize_sinr_arm",
@@ -128,6 +114,15 @@ class SinrStudyConfig(SimStudyConfig):
             capture_threshold_db=self.capture_threshold_db,
         )
 
+    @property
+    def replicate_class(self) -> type:
+        """Plain :class:`~repro.experiments.campaign.ReplicateMetrics`
+        for the unit-disk arm (its artifacts stay byte-identical to the
+        single-hop study's), :class:`SinrReplicateMetrics` otherwise."""
+        if self.phy_model == "unitdisk":
+            return ReplicateMetrics
+        return SinrReplicateMetrics
+
 
 @dataclass(frozen=True)
 class SinrReplicateMetrics:
@@ -172,87 +167,6 @@ class SinrReplicateMetrics:
     def from_record(cls, record: dict) -> "SinrReplicateMetrics":
         """Rebuild from the ``dataclasses.asdict`` JSON form."""
         return cls(**record)
-
-
-# ----------------------------------------------------------------------
-# Worker functions — the campaign plugs, pure in (spec).
-# ----------------------------------------------------------------------
-
-# Per-process memo, as in campaign.py: topologies are scheme- and
-# model-blind (same ring derivation as the single-hop study, so the
-# unit-disk arm really is an A/B of physics on identical draws).
-_TOPOLOGY_MEMO: dict[tuple[int, int, int], Topology] = {}
-
-
-def run_sinr_cell_spec(
-    spec: CellSpec,
-    topology: Callable[[int, int], Topology] | None = None,
-    metrics: MetricsRegistry | None = None,
-    profiler: PhaseProfiler | None = None,
-) -> CellResult:
-    """Run all replicates of one grid cell under the configured model.
-
-    Same purity contract as :func:`~repro.experiments.campaign.
-    run_cell_spec`; ``spec.config`` must be a :class:`SinrStudyConfig`.
-    Under ``phy_model="unitdisk"`` the replicates are plain
-    :class:`~repro.experiments.campaign.ReplicateMetrics` — the cell
-    artifact is byte-identical to the single-hop study's for the same
-    grid cell and seed.
-    """
-    cfg = spec.config
-    if not isinstance(cfg, SinrStudyConfig):
-        raise TypeError(
-            f"sinr cells need a SinrStudyConfig, got {type(cfg).__name__}"
-        )
-    phy_config = cfg.phy_config
-    results: list[ReplicateMetrics | SinrReplicateMetrics] = []
-    for replicate in range(cfg.topologies):
-        with profiler.phase("topology gen") if profiler else nullcontext():
-            if topology is not None:
-                topo = topology(spec.n, replicate)
-            else:
-                memo_key = (cfg.base_seed, spec.n, replicate)
-                if memo_key not in _TOPOLOGY_MEMO:
-                    _TOPOLOGY_MEMO[memo_key] = replicate_topology(
-                        cfg.base_seed, spec.n, replicate
-                    )
-                topo = _TOPOLOGY_MEMO[memo_key]
-        seed = replicate_seed(cfg.base_seed, spec.n, replicate)
-        with profiler.phase("build") if profiler else nullcontext():
-            simulation = NetworkSimulation(
-                topo,
-                spec.scheme,
-                math.radians(spec.beamwidth_deg),
-                seed=seed,
-                mac_params=cfg.mac_params,
-                phy_params=cfg.phy_params,
-                metrics=metrics,
-                phy_config=phy_config,
-            )
-        result = simulation.run(cfg.sim_time_ns, profiler=profiler)
-        if cfg.phy_model == "unitdisk":
-            results.append(ReplicateMetrics.from_result(replicate, seed, result))
-        else:
-            results.append(SinrReplicateMetrics.from_result(replicate, seed, result))
-    return CellResult(
-        n=spec.n,
-        scheme=spec.scheme,
-        beamwidth_deg=spec.beamwidth_deg,
-        results=tuple(results),
-    )
-
-
-def run_sinr_cell_spec_telemetry(
-    spec: CellSpec,
-    topology: Callable[[int, int], Topology] | None = None,
-) -> tuple[CellResult, dict]:
-    """Measuring variant: (cell result, ``repro-telemetry-v1`` record)."""
-    metrics = MetricsRegistry()
-    profiler = PhaseProfiler()
-    cell = run_sinr_cell_spec(
-        spec, topology=topology, metrics=metrics, profiler=profiler
-    )
-    return cell, cell_telemetry(spec, metrics, profiler)
 
 
 # ----------------------------------------------------------------------
@@ -338,8 +252,6 @@ def run_sinr_study(
             directory=None if base is None else base / name,
             progress=progress,
             telemetry=telemetry,
-            worker=run_sinr_cell_spec,
-            worker_telemetry=run_sinr_cell_spec_telemetry,
         )
         summary.extend(summarize_sinr_arm(cells, capture_db))
     return summary

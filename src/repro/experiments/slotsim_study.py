@@ -21,11 +21,10 @@ import math
 import pathlib
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Callable, ClassVar, Sequence
+from typing import ClassVar, Sequence
 
 from ..core.params import PAPER_PARAMETERS
 from ..metrics.summary import ReplicateSummary, summarize
-from ..net.topology import Topology
 from ..obs.metrics import MetricsRegistry
 from ..obs.profile import PhaseProfiler
 from ..slotsim import (
@@ -38,7 +37,6 @@ from .campaign import (
     CampaignProgress,
     CellResult,
     CellSpec,
-    cell_telemetry,
     replicate_seed,
     run_campaign,
 )
@@ -50,7 +48,6 @@ __all__ = [
     "SlotReplicateMetrics",
     "SlotCell",
     "run_slot_cell_spec",
-    "run_slot_cell_spec_telemetry",
     "run_slot_study",
     "summarize_slotsim",
     "format_slotsim_table",
@@ -166,7 +163,6 @@ class SlotReplicateMetrics:
 
 def run_slot_cell_spec(
     spec: CellSpec,
-    topology: Callable[[int, int], Topology] | None = None,
     metrics: MetricsRegistry | None = None,
     profiler: PhaseProfiler | None = None,
 ) -> CellResult:
@@ -175,12 +171,10 @@ def run_slot_cell_spec(
     Same purity contract as
     :func:`~repro.experiments.campaign.run_cell_spec`: a pure function
     of ``spec`` regardless of process or order, with ``metrics`` and
-    ``profiler`` strictly observational.  ``topology`` is accepted for
-    campaign-runner compatibility but ignored — the slot model draws
-    its own torus placement from the replicate seed (``config.seed``
-    roots both placement and traffic), so topologies are per-replicate
-    by construction.  ``spec.config`` must be a
-    :class:`SlotStudyConfig`.
+    ``profiler`` strictly observational.  The slot model draws its own
+    torus placement from the replicate seed (``config.seed`` roots both
+    placement and traffic), so it needs no topology memo.
+    ``spec.config`` must be a :class:`SlotStudyConfig`.
     """
     cfg = spec.config
     if not isinstance(cfg, SlotStudyConfig):
@@ -217,19 +211,6 @@ def run_slot_cell_spec(
         beamwidth_deg=spec.beamwidth_deg,
         results=tuple(results),
     )
-
-
-def run_slot_cell_spec_telemetry(
-    spec: CellSpec,
-    topology: Callable[[int, int], Topology] | None = None,
-) -> tuple[CellResult, dict]:
-    """Measuring variant: (cell result, ``repro-telemetry-v1`` record)."""
-    metrics = MetricsRegistry()
-    profiler = PhaseProfiler()
-    cell = run_slot_cell_spec(
-        spec, topology=topology, metrics=metrics, profiler=profiler
-    )
-    return cell, cell_telemetry(spec, metrics, profiler)
 
 
 # ----------------------------------------------------------------------
@@ -294,8 +275,6 @@ def run_slot_study(
         directory=directory,
         progress=progress,
         telemetry=telemetry,
-        worker=run_slot_cell_spec,
-        worker_telemetry=run_slot_cell_spec_telemetry,
     )
     return summarize_slotsim(cells)
 

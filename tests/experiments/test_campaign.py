@@ -16,7 +16,7 @@ from repro.experiments import (
     CampaignStore,
     CellSpec,
     SimStudyConfig,
-    SimStudyRunner,
+    cached_topology,
     replicate_seed,
     replicate_topology,
     run_campaign,
@@ -64,25 +64,26 @@ class TestReplicateSeed:
 
 class TestTopologyDerivation:
     def test_pure_function_matches_runner_cache(self):
-        """Topology caching unchanged by the refactor: the runner's
-        cached topology is the same derivation as the pure function."""
+        """The per-process memo every runner and shard reads is the same
+        derivation as the pure function."""
         config = tiny_config()
-        runner = SimStudyRunner(config)
         direct = replicate_topology(config.base_seed, 3, 0)
-        assert runner.topology(3, 0).positions == direct.positions
+        cached = cached_topology(replicate_topology, config.base_seed, 3, 0)
+        assert cached.positions == direct.positions
 
     def test_runner_cache_shared_across_schemes(self):
-        runner = SimStudyRunner(tiny_config())
-        runner.run_grid()
-        assert set(runner._topologies) == {(3, 0)}
+        cached_topology.cache_clear()
+        run_campaign(tiny_config())
+        info = cached_topology.cache_info()
+        assert (info.currsize, info.hits) == (1, 1)
 
     def test_worker_path_equals_serial_path(self):
-        """run_cell_spec with its default (worker-side) topology memo
-        produces the same cell as the runner's cached path."""
+        """A cell computed alone equals the same cell of a serial grid
+        run, whichever run filled the memo first."""
         config = tiny_config(schemes=("ORTS-OCTS",))
         spec = CellSpec(3, "ORTS-OCTS", 30.0, config)
-        runner = SimStudyRunner(config)
-        assert run_cell_spec(spec) == runner.run_cell(3, "ORTS-OCTS", 30.0)
+        cached_topology.cache_clear()
+        assert run_cell_spec(spec) == run_campaign(config)[0]
 
 
 class TestCellArtifacts:
@@ -150,7 +151,9 @@ class TestCampaignRunner:
 
     def test_matches_serial_runner(self):
         config = tiny_config()
-        assert run_campaign(config) == SimStudyRunner(config).run_grid()
+        assert run_campaign(config) == [
+            run_cell_spec(spec) for spec in CampaignRunner(config).specs()
+        ]
 
     def test_workers_from_environment(self, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "1")

@@ -1,11 +1,19 @@
-"""Tests for experiment configuration and the sweep runner."""
+"""Tests for experiment configuration and the serial grid run."""
 
 import math
 
 import pytest
 
 from repro.dessim import seconds
-from repro.experiments import SimStudyConfig, SimStudyRunner, from_environment
+from repro.experiments import (
+    CellSpec,
+    SimStudyConfig,
+    cached_topology,
+    from_environment,
+    replicate_topology,
+    run_campaign,
+    run_cell_spec,
+)
 
 
 def tiny_config(**overrides):
@@ -40,6 +48,18 @@ class TestSimStudyConfig:
             SimStudyConfig(topologies=0)
         with pytest.raises(ValueError):
             SimStudyConfig(sim_time_ns=0)
+
+    def test_rejects_unknown_schemes(self):
+        """Regression: a misspelt scheme used to pass the config, so a
+        campaign wrote its manifest and first cells before the worker
+        raised KeyError — a store pinned to a grid that never completes."""
+        with pytest.raises(ValueError, match="drts_octs"):
+            SimStudyConfig(schemes=("ORTS-OCTS", "drts_octs"))
+
+    def test_accepts_every_simulatable_scheme(self):
+        from repro.mac.policy import POLICIES
+
+        assert SimStudyConfig(schemes=tuple(POLICIES)).schemes == tuple(POLICIES)
 
     def test_derived_parameter_objects(self):
         cfg = SimStudyConfig(retry_limit=5, capture_threshold=10.0)
@@ -77,43 +97,45 @@ class TestSimStudyConfig:
         assert cfg.capture_threshold == 10.0
 
 
+def _cell(config, scheme="ORTS-OCTS", beamwidth=30.0):
+    return run_cell_spec(CellSpec(3, scheme, beamwidth, config))
+
+
 class TestSimStudyRunner:
+    """The serial in-process grid: ``run_campaign`` with its defaults."""
+
     def test_topologies_cached_across_schemes(self):
-        runner = SimStudyRunner(tiny_config())
-        assert runner.topology(3, 0) is runner.topology(3, 0)
+        first = cached_topology(replicate_topology, 2003, 3, 0)
+        assert cached_topology(replicate_topology, 2003, 3, 0) is first
 
     def test_different_replicates_differ(self):
-        runner = SimStudyRunner(tiny_config())
-        a = runner.topology(3, 0)
-        b = runner.topology(3, 1)
+        a = cached_topology(replicate_topology, 2003, 3, 0)
+        b = cached_topology(replicate_topology, 2003, 3, 1)
         assert a.positions != b.positions
 
     def test_run_cell_produces_replicates(self):
-        runner = SimStudyRunner(tiny_config(topologies=2))
-        cell = runner.run_cell(3, "ORTS-OCTS", 30.0)
+        cell = _cell(tiny_config(topologies=2))
         assert len(cell.results) == 2
         assert cell.n == 3
         assert cell.scheme == "ORTS-OCTS"
 
     def test_run_grid_covers_all_cells(self):
-        runner = SimStudyRunner(tiny_config())
-        cells = runner.run_grid()
+        cells = run_campaign(tiny_config())
         assert len(cells) == 1 * 2 * 1  # n x schemes x beamwidths
         assert {c.scheme for c in cells} == {"ORTS-OCTS", "DRTS-DCTS"}
 
     def test_metric_extraction(self):
-        runner = SimStudyRunner(tiny_config())
-        cell = runner.run_cell(3, "ORTS-OCTS", 30.0)
-        values = cell.metric("inner_throughput_bps")
+        values = _cell(tiny_config()).metric("inner_throughput_bps")
         assert len(values) == 1
         assert values[0] >= 0
 
     def test_schemes_compared_on_identical_topologies(self):
-        runner = SimStudyRunner(tiny_config())
-        runner.run_grid()
-        # After the grid, only (n=3, replicate=0) exists in the cache —
-        # both schemes reused it.
-        assert set(runner._topologies) == {(3, 0)}
+        cached_topology.cache_clear()
+        run_campaign(tiny_config())
+        # Both schemes' cells asked for (n=3, replicate=0): one
+        # derivation, then one memo hit.
+        info = cached_topology.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
 
 
 class TestReplicateSeedPlumbing:
@@ -123,7 +145,7 @@ class TestReplicateSeedPlumbing:
         from repro.experiments import replicate_seed
 
         cfg = tiny_config(topologies=2)
-        cell = SimStudyRunner(cfg).run_cell(3, "ORTS-OCTS", 30.0)
+        cell = _cell(cfg)
         assert [r.seed for r in cell.results] == [
             replicate_seed(cfg.base_seed, 3, r) for r in range(2)
         ]

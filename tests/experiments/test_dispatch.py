@@ -453,7 +453,7 @@ class TestTailEvents:
         assert tail_events(tmp_path / "none.jsonl", 0) == ([], 0)
 
 
-def _failing_worker(spec, topology=None):
+def _failing_worker(spec, metrics=None, profiler=None):
     """Top-level (picklable) worker that always fails."""
     raise RuntimeError("worker exploded")
 
@@ -556,11 +556,16 @@ class TestSummaryMergeOwnership:
 
 class TestStudyRegistry:
     def test_tags_cover_registered_studies(self):
-        from repro.experiments import MultihopStudyConfig, SlotStudyConfig
+        from repro.experiments import (
+            MultihopStudyConfig,
+            SinrStudyConfig,
+            SlotStudyConfig,
+        )
 
         assert study_tag(tiny_config()) == "sim"
         assert study_tag(MultihopStudyConfig()) == "multihop"
         assert study_tag(SlotStudyConfig()) == "slotsim"
+        assert study_tag(SinrStudyConfig()) == "sinr"
 
     def test_campaign_exports_same_tagging(self):
         from repro.experiments import study_tag as exported
@@ -571,14 +576,19 @@ class TestStudyRegistry:
         with pytest.raises(ValueError, match="ShardRunner"):
             resolve_study("custom-study")
 
-    @pytest.mark.parametrize("tag", ["sim", "multihop", "slotsim"])
+    @pytest.mark.parametrize("tag", ["sim", "multihop", "slotsim", "sinr"])
     def test_manifest_roundtrip(self, tag, tmp_path):
-        from repro.experiments import MultihopStudyConfig, SlotStudyConfig
+        from repro.experiments import (
+            MultihopStudyConfig,
+            SinrStudyConfig,
+            SlotStudyConfig,
+        )
 
         config = {
             "sim": tiny_config(),
             "multihop": MultihopStudyConfig(n_values=(3,), topologies=1),
             "slotsim": SlotStudyConfig(n_values=(3,), topologies=1),
+            "sinr": SinrStudyConfig(n_values=(3,), topologies=1),
         }[tag]
         store = CampaignStore(tmp_path / "camp", config)
         manifest = json.loads((store.directory / "campaign.json").read_text())

@@ -7,7 +7,7 @@ import math
 import pytest
 
 from repro.dessim import seconds
-from repro.experiments import SimStudyConfig, SimStudyRunner, run_fig5
+from repro.experiments import SimStudyConfig, run_campaign, run_fig5
 from repro.experiments.io import (
     grid_to_records,
     load_grid_records,
@@ -26,7 +26,7 @@ def cells():
         topologies=2,
         sim_time_ns=seconds(0.2),
     )
-    return SimStudyRunner(config).run_grid()
+    return run_campaign(config)
 
 
 class TestGridRecords:

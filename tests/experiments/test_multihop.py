@@ -9,10 +9,10 @@ from repro.experiments import (
     MultihopReplicateMetrics,
     MultihopStudyConfig,
     SimStudyConfig,
+    measure_cell,
     normalize_scheme,
     run_multihop,
     run_multihop_cell_spec,
-    run_multihop_cell_spec_telemetry,
     summarize_multihop,
 )
 from repro.experiments.campaign import CellSpec, config_fingerprint
@@ -93,7 +93,7 @@ class TestCellWorker:
 
     def test_telemetry_variant_identical_result(self):
         bare = run_multihop_cell_spec(small_spec())
-        observed, record = run_multihop_cell_spec_telemetry(small_spec())
+        observed, record = measure_cell(run_multihop_cell_spec, small_spec())
         assert observed == bare
         assert record["kind"] == "cell"
         assert record["counters"]["route.originated"] > 0

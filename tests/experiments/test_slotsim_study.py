@@ -91,12 +91,6 @@ class TestWorker:
             assert br.seed == sr.seed
             assert br.engine == "batch" and sr.engine == "scalar"
 
-    def test_ignores_topology_provider(self):
-        spec = CellSpec(3, "ORTS-OCTS", 60.0, tiny_config())
-        sentinel = object()
-        cell = run_slot_cell_spec(spec, topology=sentinel)
-        assert cell == run_slot_cell_spec(spec)
-
 
 class TestArtifacts:
     def test_payload_round_trip(self):

@@ -1,7 +1,7 @@
 """End-to-end reproducibility: identical configs give identical results."""
 
 from repro.dessim import seconds
-from repro.experiments import SimStudyConfig, SimStudyRunner
+from repro.experiments import SimStudyConfig, run_campaign
 from repro.experiments.io import grid_to_records
 
 
@@ -17,8 +17,8 @@ def tiny_config():
 
 class TestGridReproducibility:
     def test_identical_runs_identical_records(self):
-        first = grid_to_records(SimStudyRunner(tiny_config()).run_grid())
-        second = grid_to_records(SimStudyRunner(tiny_config()).run_grid())
+        first = grid_to_records(run_campaign(tiny_config()))
+        second = grid_to_records(run_campaign(tiny_config()))
         assert first == second
 
     def test_base_seed_changes_results(self):
@@ -31,8 +31,8 @@ class TestGridReproducibility:
             sim_time_ns=base.sim_time_ns,
             base_seed=base.base_seed + 1,
         )
-        a = grid_to_records(SimStudyRunner(base).run_grid())
-        b = grid_to_records(SimStudyRunner(shifted).run_grid())
+        a = grid_to_records(run_campaign(base))
+        b = grid_to_records(run_campaign(shifted))
         assert a != b
 
     def test_slotsim_reproducible(self):

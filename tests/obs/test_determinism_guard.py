@@ -12,7 +12,7 @@ import json
 from repro.core import PAPER_PARAMETERS
 from repro.dessim import seconds
 from repro.experiments import SimStudyConfig
-from repro.experiments.campaign import CellSpec, run_cell_spec, run_cell_spec_telemetry
+from repro.experiments.campaign import CellSpec, measure_cell, run_cell_spec
 from repro.experiments.io import cell_to_payload
 from repro.obs import MetricsRegistry, PhaseProfiler
 from repro.slotsim import SlotModelConfig, SlotModelEngine
@@ -41,7 +41,7 @@ class TestDessimCellGuard:
         # The campaign store persists cell_to_payload JSON; telemetry on
         # vs off must produce the same bytes an artifact diff would see.
         plain = json.dumps(cell_to_payload(run_cell_spec(_spec())), sort_keys=True)
-        cell, record = run_cell_spec_telemetry(_spec())
+        cell, record = measure_cell(run_cell_spec, _spec())
         observed = json.dumps(cell_to_payload(cell), sort_keys=True)
         assert plain == observed
         assert record["events_processed"] > 0  # observation did happen

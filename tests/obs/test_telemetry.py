@@ -9,7 +9,8 @@ from repro.experiments import SimStudyConfig, run_campaign
 from repro.experiments.campaign import (
     CampaignStore,
     CellSpec,
-    run_cell_spec_telemetry,
+    measure_cell,
+    run_cell_spec,
 )
 from repro.obs.telemetry import (
     TELEMETRY_FORMAT,
@@ -97,7 +98,7 @@ class TestCellTelemetry:
     def test_worker_variant_returns_result_and_record(self):
         config = tiny_config()
         spec = CellSpec(3, "ORTS-OCTS", 90.0, config)
-        cell, record = run_cell_spec_telemetry(spec)
+        cell, record = measure_cell(run_cell_spec, spec)
         assert cell.n == 3
         assert record["format"] == TELEMETRY_FORMAT
         assert record["kind"] == "cell"
