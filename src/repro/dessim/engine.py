@@ -365,10 +365,11 @@ class Simulator:
     ) -> None:
         """Schedule a fire-and-forget callback (no handle, not cancellable).
 
-        The bulk fan-out path: the event object comes from and returns
-        to an engine-owned free list, so per-receiver signal start/end
-        scheduling in :meth:`repro.phy.Channel.transmit` allocates
-        nothing in steady state.  Use only when no caller needs to
+        The PHY signal fan-out path: the event object comes from and
+        returns to an engine-owned free list, so the one start and one
+        end event per transmission edge that
+        :meth:`repro.phy.Channel.transmit` schedules allocate nothing in
+        steady state.  Use only when no caller needs to
         cancel — there is deliberately no way to reach the event again.
         """
         if type(delay) is not int:
@@ -390,7 +391,22 @@ class Simulator:
             self._event_reuse += 1
         else:
             event = Event(time, seq, callback, args, self, _POOLED)
-        self._link(event, time)
+        buckets = self._buckets
+        cur = buckets.get(time)
+        if cur is None:
+            buckets[time] = event
+            heappush(self._times, time)
+            self._buckets_created += 1
+        elif type(cur) is list:
+            cur.append(event)
+        else:
+            free = self._free_lists
+            lst = free.pop() if free else []
+            st = cur._state
+            if st == _PENDING or st == _POOLED:
+                lst.append(cur)
+            lst.append(event)
+            buckets[time] = lst
         self._seq = seq + 1
         self._pending += 1
 

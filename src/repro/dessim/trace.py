@@ -3,7 +3,9 @@
 A lightweight, allocation-conscious trace facility: components emit
 ``(time, category, node, event, detail)`` records, tests and debugging
 sessions filter them afterwards.  Disabled tracers drop records at the
-door so saturated benchmark runs pay (nearly) nothing.
+door, and the PHY and MAC hot paths test ``tracer.enabled`` before
+calling :meth:`Tracer.record`, so with tracing off they do not even
+build the record's detail arguments.
 """
 
 from __future__ import annotations

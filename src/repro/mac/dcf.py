@@ -106,6 +106,17 @@ class DcfMac:
         # Hoisted: the backoff freeze/resume arithmetic runs on every
         # medium transition, and two dataclass-attribute hops add up.
         self._slot_time_ns = params.slot_time_ns
+        # Per-PHY timing constants, derived once rather than per frame.
+        phy = radio.channel.phy
+        self._phy = phy
+        self._difs_ns = params.difs_ns
+        self._eifs_ns = params.eifs_ns(phy)
+        self._cts_timeout_ns = params.cts_timeout_ns(phy)
+        self._ack_timeout_ns = params.ack_timeout_ns(phy)
+        self._data_start_timeout_ns = params.data_start_timeout_ns(phy)
+        self._data_timeout_ns = params.data_timeout_ns(phy)
+        self._cts_airtime_ns = phy.frame_airtime_ns(FrameType.CTS)
+        self._ack_airtime_ns = phy.frame_airtime_ns(FrameType.ACK)
 
         self.phase = DcfPhase.NO_PACKET
         self.queue: deque[Packet] = deque()
@@ -171,9 +182,6 @@ class DcfMac:
     # Medium access (initiator side).
     # ==================================================================
 
-    def _virtual_idle(self) -> bool:
-        return not self.radio.carrier_busy and not self.nav.busy(self.sim.now)
-
     def _maybe_begin_ifs(self) -> None:
         """Start the DIFS/EIFS wait if we may contend right now."""
         if self.phase is not DcfPhase.ACCESS_WAIT and self.phase is not DcfPhase.NO_PACKET:
@@ -191,12 +199,7 @@ class DcfMac:
             self._nav_timer.start(self.nav.remaining(self.sim.now))
             return
         self.phase = DcfPhase.ACCESS_IFS
-        ifs = (
-            self.params.eifs_ns(self.radio.channel.phy)
-            if self._use_eifs
-            else self.params.difs_ns
-        )
-        self._ifs_timer.start(ifs)
+        self._ifs_timer.start(self._eifs_ns if self._use_eifs else self._difs_ns)
 
     def _interrupt_access(self) -> None:
         """Medium went busy during DIFS/backoff: freeze.
@@ -243,11 +246,11 @@ class DcfMac:
 
     def _handshake_tail_ns(self, after: FrameType, data_bytes: int) -> int:
         """Duration-field value: medium time left after ``after`` ends."""
-        phy = self.radio.channel.phy
+        phy = self._phy
         sifs = self.params.sifs_ns
         prop = phy.propagation_delay_ns
-        cts = phy.frame_airtime_ns(FrameType.CTS)
-        ack = phy.frame_airtime_ns(FrameType.ACK)
+        cts = self._cts_airtime_ns
+        ack = self._ack_airtime_ns
         data = phy.airtime_ns(data_bytes)
         if after is FrameType.RTS:
             return 3 * sifs + cts + data + ack + 3 * prop
@@ -277,10 +280,12 @@ class DcfMac:
         )
         self.phase = DcfPhase.AWAIT_CTS
         self.stats.rts_sent += 1
-        self.tracer.record(
-            self.sim.now, "mac", self.node_id, "rts-sent",
-            dst=packet.dst, retries=self._retries,
-        )
+        tracer = self.tracer
+        if tracer.enabled:
+            tracer.record(
+                self.sim.now, "mac", self.node_id, "rts-sent",
+                dst=packet.dst, retries=self._retries,
+            )
         self.radio.transmit(frame, self._pattern(FrameType.RTS, packet.dst))
 
     def _fire_send_data(self) -> None:
@@ -316,12 +321,14 @@ class DcfMac:
 
     def _on_cts_timeout(self) -> None:
         self.stats.cts_timeouts += 1
-        self.tracer.record(self.sim.now, "mac", self.node_id, "cts-timeout")
+        if self.tracer.enabled:
+            self.tracer.record(self.sim.now, "mac", self.node_id, "cts-timeout")
         self._handshake_failed()
 
     def _on_ack_timeout(self) -> None:
         self.stats.ack_timeouts += 1
-        self.tracer.record(self.sim.now, "mac", self.node_id, "ack-timeout")
+        if self.tracer.enabled:
+            self.tracer.record(self.sim.now, "mac", self.node_id, "ack-timeout")
         self._handshake_failed()
 
     def _handshake_failed(self) -> None:
@@ -330,9 +337,11 @@ class DcfMac:
         if self._retries >= self.params.retry_limit:
             packet = self.queue.popleft()
             self.stats.packets_dropped += 1
-            self.tracer.record(
-                self.sim.now, "mac", self.node_id, "packet-dropped", dst=packet.dst
-            )
+            if self.tracer.enabled:
+                self.tracer.record(
+                    self.sim.now, "mac", self.node_id, "packet-dropped",
+                    dst=packet.dst,
+                )
             self._notify_serviced(packet, delivered=False)
             self.backoff.reset()
             self._retries = 0
@@ -346,10 +355,11 @@ class DcfMac:
         packet = self.queue.popleft()
         delay = self.sim.now - packet.created_ns
         self.stats.record_delivery(packet.size_bytes * 8, delay)
-        self.tracer.record(
-            self.sim.now, "mac", self.node_id, "delivered",
-            dst=packet.dst, delay_ns=delay,
-        )
+        if self.tracer.enabled:
+            self.tracer.record(
+                self.sim.now, "mac", self.node_id, "delivered",
+                dst=packet.dst, delay_ns=delay,
+            )
         self._notify_serviced(packet, delivered=True)
         self.backoff.reset()
         self._retries = 0
@@ -375,9 +385,10 @@ class DcfMac:
         self._responding = True
         self._response_peer = frame.src
         incoming_handshake = frame.handshake_id
-        self.tracer.record(
-            self.sim.now, "mac", self.node_id, "rts-accepted", src=frame.src
-        )
+        if self.tracer.enabled:
+            self.tracer.record(
+                self.sim.now, "mac", self.node_id, "rts-accepted", src=frame.src
+            )
 
         def respond() -> None:
             self._send_cts(frame.src, frame.duration_ns, incoming_handshake)
@@ -388,13 +399,9 @@ class DcfMac:
         if self.radio.transmitting:  # pragma: no cover - defensive
             self._end_response()
             return
-        phy = self.radio.channel.phy
         # Whatever the RTS reserved, minus SIFS and our own CTS air time.
         duration = max(
-            0,
-            rts_duration_ns
-            - self.params.sifs_ns
-            - phy.frame_airtime_ns(FrameType.CTS),
+            0, rts_duration_ns - self.params.sifs_ns - self._cts_airtime_ns
         )
         frame = Frame(
             FrameType.CTS,
@@ -457,14 +464,14 @@ class DcfMac:
         a CTS sender does not idle through a whole data airtime).
         """
         if self.radio.carrier_busy:
-            phy = self.radio.channel.phy
-            self._data_timer.start(self.params.data_timeout_ns(phy))
+            self._data_timer.start(self._data_timeout_ns)
         else:
             self._on_data_timeout()
 
     def _on_data_timeout(self) -> None:
         """CTS sent but the DATA never came: release the responder."""
-        self.tracer.record(self.sim.now, "mac", self.node_id, "data-timeout")
+        if self.tracer.enabled:
+            self.tracer.record(self.sim.now, "mac", self.node_id, "data-timeout")
         self._end_response()
 
     def _end_response(self) -> None:
@@ -525,13 +532,12 @@ class DcfMac:
             self._maybe_begin_ifs()
 
     def on_transmit_complete(self, frame: Frame) -> None:
-        phy = self.radio.channel.phy
         if frame.ftype is FrameType.RTS:
-            self._cts_timer.start(self.params.cts_timeout_ns(phy))
+            self._cts_timer.start(self._cts_timeout_ns)
         elif frame.ftype is FrameType.CTS:
-            self._data_start_probe.start(self.params.data_start_timeout_ns(phy))
+            self._data_start_probe.start(self._data_start_timeout_ns)
         elif frame.ftype is FrameType.DATA:
-            self._ack_timer.start(self.params.ack_timeout_ns(phy))
+            self._ack_timer.start(self._ack_timeout_ns)
         elif frame.ftype is FrameType.ACK:
             self._end_response()
 

@@ -6,8 +6,9 @@ the channel's :mod:`~repro.phy.reception` model says the signal is
 audible (for the default unit-disk model: within range ``R``) and
 whose bearing from the transmitter lies inside the transmit antenna
 pattern (complete attenuation outside the beam, per the paper's
-model).  Each audible radio gets a ``signal start`` event after the
-propagation delay and a ``signal end`` event one air time later;
+model).  Each audible radio sees a ``signal start`` edge after the
+propagation delay and a ``signal end`` edge one air time later, both
+delivered by one kernel event per edge for all radios at that delay;
 everything else — collision detection, corruption, capture, deafness
 while transmitting — is the receiving radio's reception model's
 business.
@@ -167,27 +168,37 @@ class Channel:
         if self._cache is not None:
             self._cache.note_moved(node_id)
 
-    def audible_nodes(self, sender: "Radio", pattern: AntennaPattern) -> list[int]:
-        """Node ids that would hear a transmission from ``sender``."""
+    def audible_entries(
+        self, sender: "Radio", pattern: AntennaPattern
+    ) -> list[tuple[int, float, int, float]]:
+        """``(node_id, bearing, delay_ns, rx_power)`` per audible radio.
+
+        Attach order, through the link cache when it is on (the
+        returned list may then be cache-owned: treat it as read-only).
+        """
         if self._cache is not None:
-            return [
-                entry[0]
-                for entry in self._cache.audible_entries(sender.node_id, pattern)
-            ]
-        audible = []
+            return self._cache.audible_entries(sender.node_id, pattern)
+        entries = []
         link_budget = self.reception.link_budget
+        src = sender.position
         for node_id, radio in self._radios.items():
             if node_id == sender.node_id:
                 continue
-            if not link_budget(
-                sender.node_id, node_id, sender.position, radio.position
-            )[0]:
+            dst = radio.position
+            audible, power = link_budget(sender.node_id, node_id, src, dst)
+            if not audible:
                 continue
-            bearing = sender.position.bearing_to(radio.position)
+            bearing = src.bearing_to(dst)
             if not pattern.covers(bearing):
                 continue
-            audible.append(node_id)
-        return audible
+            entries.append(
+                (node_id, bearing, self.propagation.delay(src, dst), power)
+            )
+        return entries
+
+    def audible_nodes(self, sender: "Radio", pattern: AntennaPattern) -> list[int]:
+        """Node ids that would hear a transmission from ``sender``."""
+        return [entry[0] for entry in self.audible_entries(sender, pattern)]
 
     def neighbors_of(self, node_id: int) -> list[int]:
         """Node ids audible from the given node (omni ground truth)."""
@@ -233,8 +244,9 @@ class Channel:
     ) -> Transmission:
         """Put a frame on the air.
 
-        Schedules signal start/end at every audible radio; returns the
-        transmission record (the sender uses it to time its own TX-done).
+        Schedules the signal start/end edges for every audible radio;
+        returns the transmission record (the sender uses it to time its
+        own TX-done).
         """
         airtime = self.phy.airtime_ns(frame.size_bytes)
         tx = Transmission(
@@ -248,27 +260,48 @@ class Channel:
         self._next_tx_id += 1
         self.stats.record(frame, airtime)
 
-        # Bulk fan-out: per-receiver delay/power come straight off the
-        # cached link row, and the start/end events go through the
-        # engine's pooled fire-and-forget path — nobody holds a handle
-        # to a signal event, so the scheduler recycles the objects and
-        # the per-receiver loop allocates nothing in steady state.
+        # One start and one end event per run of consecutive receivers
+        # (attach order) sharing a delay.  Per-receiver events would be
+        # contiguous entries of the same buckets, so one callback per
+        # run fires in the same order, and whatever a receiver
+        # schedules at that time still queues after the whole run.
+        # Runs, not all receivers of one delay: that keeps the order
+        # even when one receiver's end edge meets another's start.
+        # Under the paper's constant delay this is two kernel events.
         radios = self._radios
         schedule = self.sim.schedule_anon
-        if self._cache is not None:
-            for node_id, _bearing, delay, power in self._cache.audible_entries(
-                sender.node_id, pattern
-            ):
-                radio = radios[node_id]
-                schedule(delay, radio.on_signal_start, tx, power)
-                schedule(delay + airtime, radio.on_signal_end, tx)
-            return tx
-        for node_id in self.audible_nodes(sender, pattern):
-            radio = radios[node_id]
-            delay = self.propagation.delay(sender.position, radio.position)
-            _, power = self.reception.link_budget(
-                sender.node_id, node_id, sender.position, radio.position
-            )
-            schedule(delay, radio.on_signal_start, tx, power)
-            schedule(delay + airtime, radio.on_signal_end, tx)
+        start = self.on_signal_start
+        end = self.on_signal_end
+        group: list[tuple["Radio", float]] = []
+        group_delay = -1
+        for node_id, _bearing, delay, power in self.audible_entries(
+            sender, pattern
+        ):
+            if delay != group_delay:
+                if group:
+                    schedule(group_delay, start, tx, group)
+                    schedule(group_delay + airtime, end, tx, group)
+                    group = []
+                group_delay = delay
+            group.append((radios[node_id], power))
+        if group:
+            schedule(group_delay, start, tx, group)
+            schedule(group_delay + airtime, end, tx, group)
         return tx
+
+    # Fan-out callbacks: one kernel event each, covering a whole run of
+    # receivers.  The power was frozen when the frame went on the air.
+
+    def on_signal_start(
+        self, tx: Transmission, group: list[tuple["Radio", float]]
+    ) -> None:
+        """A signal edge reaches every radio of ``group`` at once."""
+        for radio, power in group:
+            radio.on_signal_start(tx, power)
+
+    def on_signal_end(
+        self, tx: Transmission, group: list[tuple["Radio", float]]
+    ) -> None:
+        """A signal stops impinging on every radio of ``group``."""
+        for radio, _power in group:
+            radio.on_signal_end(tx)

@@ -24,7 +24,7 @@ completion.
 from __future__ import annotations
 
 import enum
-from typing import Protocol
+from typing import NoReturn, Protocol
 
 from ..dessim.engine import Simulator
 from ..dessim.trace import Tracer
@@ -36,10 +36,6 @@ from .reception.base import RxOutcome
 
 __all__ = ["Radio", "RadioState", "MacListener", "RadioError"]
 
-# Hoisted enum members: on_signal_end runs once per signal per radio.
-_DELIVERED = RxOutcome.DELIVERED
-_FAILED = RxOutcome.FAILED
-
 
 class RadioError(RuntimeError):
     """Raised on physically impossible requests (e.g. TX while TX)."""
@@ -48,6 +44,29 @@ class RadioError(RuntimeError):
 class RadioState(enum.Enum):
     IDLE = "idle"
     TRANSMITTING = "transmitting"
+
+
+# Hoisted enum members: the signal edges run once per signal per radio.
+_DELIVERED = RxOutcome.DELIVERED
+_FAILED = RxOutcome.FAILED
+_TRANSMITTING = RadioState.TRANSMITTING
+
+
+class _NoMac:
+    """Stands in for the MAC until :meth:`Radio.set_mac`: any event raises.
+
+    Lets the signal edges call ``self._mac`` directly, with no
+    attached-yet check per edge.
+    """
+
+    def __init__(self, node_id: int) -> None:
+        self.node_id = node_id
+
+    def _missing(self, *args: object) -> NoReturn:
+        raise RadioError(f"node {self.node_id}: no MAC attached")
+
+    on_frame_received = on_reception_failed = _missing
+    on_medium_busy = on_medium_idle = on_transmit_complete = _missing
 
 
 class MacListener(Protocol):
@@ -86,7 +105,7 @@ class Radio:
         self.channel = channel
         self.tracer = tracer if tracer is not None else Tracer(enabled=False)
         self.state = RadioState.IDLE
-        self._mac: MacListener | None = None
+        self._mac: MacListener = _NoMac(node_id)
         self.receiver = channel.reception.make_receiver()
         # Bound-method aliases: the signal-edge path runs once per
         # (transmission, audible radio) pair and the attribute chain
@@ -130,7 +149,7 @@ class Radio:
 
     @property
     def mac(self) -> MacListener:
-        if self._mac is None:
+        if isinstance(self._mac, _NoMac):
             raise RadioError(f"node {self.node_id}: no MAC attached")
         return self._mac
 
@@ -149,9 +168,7 @@ class Radio:
         Our own transmission counts as busy (the MAC must not start a
         second one), and any impinging signal counts as busy.
         """
-        # `transmitting` inlined: this property sits on the carrier-
-        # sense path of every signal edge.
-        return self.state is RadioState.TRANSMITTING or bool(self._signals)
+        return self.state is _TRANSMITTING or bool(self._signals)
 
     def transmit(self, frame: Frame, pattern: AntennaPattern | None = None) -> None:
         """Radiate a frame with the given antenna pattern (omni default).
@@ -171,10 +188,12 @@ class Radio:
         self.state = RadioState.TRANSMITTING
         self.frames_sent += 1
         tx = self.channel.transmit(self, frame, pattern)
-        self.tracer.record(
-            self.sim.now, "phy", self.node_id, "tx-start",
-            ftype=frame.ftype.value, dst=frame.dst, tx_id=tx.tx_id,
-        )
+        tracer = self.tracer
+        if tracer.enabled:
+            tracer.record(
+                self.sim.now, "phy", self.node_id, "tx-start",
+                ftype=frame.ftype.value, dst=frame.dst, tx_id=tx.tx_id,
+            )
         # Fire-and-forget (TX-done is never cancelled), so the pooled
         # path applies: one recycled event per transmission.
         self.sim.schedule_anon(tx.airtime_ns, self._finish_transmit, frame)
@@ -193,59 +212,78 @@ class Radio:
         SINR capture otherwise.  Deafness is universal: a signal that
         starts during our own transmission lost its preamble forever.
         """
-        deaf = self.state is RadioState.TRANSMITTING
+        deaf = self.state is _TRANSMITTING
         if deaf:
             self.receptions_missed += 1
         decoding = self._receiver_start(tx, power, deaf)
-        self.tracer.record(
-            self.sim.now, "phy", self.node_id, "signal-start",
-            src=tx.sender, ftype=tx.frame.ftype.value,
-            clean=decoding,
-        )
-        self._update_carrier()
+        tracer = self.tracer
+        if tracer.enabled:
+            tracer.record(
+                self.sim.now, "phy", self.node_id, "signal-start",
+                src=tx.sender, ftype=tx.frame.ftype.value,
+                clean=decoding,
+            )
+        # The receiver now tracks this signal, so the medium is busy:
+        # only the idle-to-busy edge can happen here.
+        if not self._was_busy:
+            self._was_busy = True
+            self._mac.on_medium_busy()
 
     def on_signal_end(self, tx: Transmission) -> None:
         """A signal stops impinging on this radio."""
-        outcome = self._receiver_end(tx, self.state is RadioState.TRANSMITTING)
+        outcome = self._receiver_end(tx, self.state is _TRANSMITTING)
         if outcome is None:  # pragma: no cover - channel never double-ends
             return
         if outcome is _DELIVERED:
             self.frames_received += 1
-            self.tracer.record(
-                self.sim.now, "phy", self.node_id, "rx-ok",
-                src=tx.sender, ftype=tx.frame.ftype.value,
-            )
-            self.mac.on_frame_received(tx.frame)
+            tracer = self.tracer
+            if tracer.enabled:
+                tracer.record(
+                    self.sim.now, "phy", self.node_id, "rx-ok",
+                    src=tx.sender, ftype=tx.frame.ftype.value,
+                )
+            self._mac.on_frame_received(tx.frame)
         elif outcome is _FAILED:
             # We heard noise start-to-finish: 802.11 reacts with EIFS.
             self.receptions_corrupted += 1
-            self.tracer.record(
-                self.sim.now, "phy", self.node_id, "rx-error",
-                src=tx.sender, ftype=tx.frame.ftype.value,
-            )
-            self.mac.on_reception_failed()
-        self._update_carrier()
+            tracer = self.tracer
+            if tracer.enabled:
+                tracer.record(
+                    self.sim.now, "phy", self.node_id, "rx-error",
+                    src=tx.sender, ftype=tx.frame.ftype.value,
+                )
+            self._mac.on_reception_failed()
+        # _update_carrier, inlined.
+        busy = self.state is _TRANSMITTING or bool(self._signals)
+        if busy and not self._was_busy:
+            self._was_busy = True
+            self._mac.on_medium_busy()
+        elif not busy and self._was_busy:
+            self._was_busy = False
+            self._mac.on_medium_idle()
 
     # ------------------------------------------------------------------
 
     def _finish_transmit(self, frame: Frame) -> None:
         self.state = RadioState.IDLE
-        self.tracer.record(
-            self.sim.now, "phy", self.node_id, "tx-end",
-            ftype=frame.ftype.value, dst=frame.dst,
-        )
-        self.mac.on_transmit_complete(frame)
+        tracer = self.tracer
+        if tracer.enabled:
+            tracer.record(
+                self.sim.now, "phy", self.node_id, "tx-end",
+                ftype=frame.ftype.value, dst=frame.dst,
+            )
+        self._mac.on_transmit_complete(frame)
         self._update_carrier()
 
     def _update_carrier(self) -> None:
         """Emit busy/idle edges to the MAC on state changes."""
-        busy = self.carrier_busy
+        busy = self.state is _TRANSMITTING or bool(self._signals)
         if busy and not self._was_busy:
             self._was_busy = True
-            self.mac.on_medium_busy()
+            self._mac.on_medium_busy()
         elif not busy and self._was_busy:
             self._was_busy = False
-            self.mac.on_medium_idle()
+            self._mac.on_medium_idle()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
