@@ -13,9 +13,10 @@ This module caches that geometry:
 * a **point cache** of :class:`Link` records per ordered node pair —
   ``(in_range, distance_m, bearing, delay_ns, rx_power)`` — so
   :meth:`~repro.mac.neighbors.NeighborTable.bearing_to` and
-  ``distance_to`` become one dict lookup.  A row fill stores an
-  inaudible pair as a bare epoch stamp (no ``Link``, no trig), and
-  :meth:`LinkCache.link` builds its full record on first demand;
+  ``distance_to`` become one dict lookup.  A row fill stores only its
+  audible pairs' records (an inaudible pair costs no ``Link`` and no
+  trig), and :meth:`LinkCache.link` builds an inaudible pair's full
+  record on first demand;
 * a **row cache** per sender: its in-range neighbors in attach order,
   binned into angular sectors, so ``audible_nodes`` only inspects the
   sectors overlapping the transmit beam plus one boundary check per
@@ -28,12 +29,17 @@ so a move invalidates exactly that node's pair rows and nothing is
 recomputed until the next query that needs it.  Rows additionally
 carry a global move stamp: any move marks all rows stale (a mover can
 enter or leave *any* sender's range), but a stale row's rebuild reuses
-every pair record whose endpoints did not move, so the trig cost of a
-rebuild is proportional to how many nodes actually moved.
+every pair verdict whose endpoints did not move — an audible pair's
+record from the point cache, an inaudible pair's verdict from the
+epoch snapshot the old row was filled at (one snapshot shared by every
+row filled at the same move stamp) — so the budget cost of a rebuild
+is proportional to how many nodes actually moved.  A row's missing
+pairs are budgeted in one
+:meth:`~repro.phy.reception.base.ReceptionModel.link_budgets` call.
 
 Determinism: the cache is bit-identical to the naive scan by
 construction — audibility and powers come from the same
-:class:`~repro.phy.reception.base.ReceptionModel` link-budget calls on
+:class:`~repro.phy.reception.base.ReceptionModel` link budgets on
 the same :class:`~repro.phy.propagation.Position` values (shadowing
 draws, where the model has them, are memoized per ordered pair, so
 cache misses cannot re-roll them), and audible sets are emitted in the
@@ -49,6 +55,7 @@ from typing import TYPE_CHECKING, NamedTuple
 from .antenna import AntennaPattern, normalize_angle
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from .propagation import Position
     from .radio import Radio
     from .reception.base import ReceptionModel
 
@@ -74,18 +81,24 @@ class Link(NamedTuple):
 
 
 class _Row:
-    """One sender's in-range neighbors, sector-indexed, at a move stamp."""
+    """One sender's in-range neighbors, sector-indexed, at a move stamp.
 
-    __slots__ = ("stamp", "ids", "entries", "bins")
+    ``epochs`` is every node's epoch when the row was filled: its
+    verdicts hold for each pair whose endpoints still have them.
+    """
+
+    __slots__ = ("stamp", "epochs", "ids", "entries", "bins")
 
     def __init__(
         self,
         stamp: int,
+        epochs: dict[int, int],
         ids: list[int],
         entries: list[tuple[int, float, int, float]],
         bins: list[list[int]],
     ) -> None:
         self.stamp = stamp
+        self.epochs = epochs
         self.ids = ids
         self.entries = entries
         self.bins = bins
@@ -115,10 +128,11 @@ class LinkCache:
         self._radios = radios
         self._epochs: dict[int, int] = {}
         self._move_seq = 0
-        # (epoch_src, epoch_dst, record); record is None for an
-        # inaudible pair a row fill stamped without building its Link.
-        self._links: dict[tuple[int, int], tuple[int, int, Link | None]] = {}
+        # src -> dst -> (epoch_src, epoch_dst, record).
+        self._links: dict[int, dict[int, tuple[int, int, Link]]] = {}
         self._rows: dict[int, _Row] = {}
+        # (move stamp, copy of _epochs) of the latest row fill.
+        self._snapshot: tuple[int, dict[int, int]] = (-1, {})
 
     # ------------------------------------------------------------------
     # Invalidation hooks (the channel and radios call these).
@@ -141,19 +155,14 @@ class LinkCache:
     def link(self, src_id: int, dst_id: int) -> Link:
         """The cached :class:`Link` from ``src_id`` to ``dst_id``.
 
-        An inaudible pair that a row fill stored as a bare epoch stamp
-        gets its full record built here, on first demand.
+        An inaudible pair, which a row fill does not record, gets its
+        full record built here, on first demand.
         """
         epoch_src = self._epochs[src_id]
         epoch_dst = self._epochs[dst_id]
-        key = (src_id, dst_id)
-        cached = self._links.get(key)
-        if (
-            cached is not None
-            and cached[0] == epoch_src
-            and cached[1] == epoch_dst
-            and cached[2] is not None
-        ):
+        src_links = self._links.setdefault(src_id, {})
+        cached = src_links.get(dst_id)
+        if cached is not None and cached[0] == epoch_src and cached[1] == epoch_dst:
             return cached[2]
         src = self._radios[src_id].position
         dst = self._radios[dst_id].position
@@ -165,7 +174,7 @@ class LinkCache:
             delay_ns=self.propagation.delay(src, dst),
             rx_power=rx_power,
         )
-        self._links[key] = (epoch_src, epoch_dst, link)
+        src_links[dst_id] = (epoch_src, epoch_dst, link)
         return link
 
     # ------------------------------------------------------------------
@@ -174,45 +183,60 @@ class LinkCache:
 
     def _row(self, sender_id: int) -> _Row:
         row = self._rows.get(sender_id)
-        if row is not None and row.stamp == self._move_seq:
+        move_seq = self._move_seq
+        if row is not None and row.stamp == move_seq:
             return row
-        # Rebuild in attach order; pairs whose endpoints have not moved
-        # come straight from the point cache, so only moved endpoints
-        # pay for a link budget.  A missing pair costs one budget call,
-        # and an inaudible one is stored as a bare epoch stamp: the
-        # trig and the Link record are only paid for audible pairs.
-        links = self._links
+        # Rebuild in attach order.  A pair whose endpoints have not
+        # moved keeps its verdict: an audible one comes straight from
+        # the point cache, and one the old row's snapshot still covers
+        # without a record is inaudible.  The missing pairs cost one
+        # link_budgets call for the whole row; the trig and the Link
+        # record are only paid for audible pairs.
         epochs = self._epochs
-        link_budget = self.reception.link_budget
-        delay = self.propagation.delay
         radios = self._radios
         epoch_src = epochs[sender_id]
+        links = self._links.setdefault(sender_id, {})
+        known = (
+            row.epochs
+            if row is not None and row.epochs.get(sender_id) == epoch_src
+            else {}
+        )
+        # (node_id, record); record None marks a missing pair.
+        candidates: list[tuple[int, Link | None]] = []
+        missing_ids: list[int] = []
+        missing: list[Position] = []
+        for node_id, radio in radios.items():
+            if node_id == sender_id:
+                continue
+            epoch_dst = epochs[node_id]
+            cached = links.get(node_id)
+            if cached is not None and cached[0] == epoch_src and cached[1] == epoch_dst:
+                record = cached[2]
+                if record.in_range:
+                    candidates.append((node_id, record))
+            elif known.get(node_id) != epoch_dst:
+                candidates.append((node_id, None))
+                missing_ids.append(node_id)
+                missing.append(radio.position)
         src = radios[sender_id].position
+        budgets = iter(
+            self.reception.link_budgets(sender_id, src, missing_ids, missing)
+            if missing_ids
+            else ()
+        )
+        fresh = iter(missing)
+        delay = self.propagation.delay
         pi = math.pi
         sectors = self.sectors
         width = self._width
         ids: list[int] = []
         entries: list[tuple[int, float, int, float]] = []
         bins: list[list[int]] = [[] for _ in range(sectors)]
-        for node_id, radio in radios.items():
-            if node_id == sender_id:
-                continue
-            key = (sender_id, node_id)
-            epoch_dst = epochs[node_id]
-            cached = links.get(key)
-            if (
-                cached is not None
-                and cached[0] == epoch_src
-                and cached[1] == epoch_dst
-            ):
-                record = cached[2]
-                if record is None or not record.in_range:
-                    continue
-            else:
-                dst = radio.position
-                audible, rx_power = link_budget(sender_id, node_id, src, dst)
+        for node_id, record in candidates:
+            if record is None:
+                dst = next(fresh)
+                audible, rx_power = next(budgets)
                 if not audible:
-                    links[key] = (epoch_src, epoch_dst, None)
                     continue
                 record = Link(
                     in_range=audible,
@@ -221,7 +245,7 @@ class LinkCache:
                     delay_ns=delay(src, dst),
                     rx_power=rx_power,
                 )
-                links[key] = (epoch_src, epoch_dst, record)
+                links[node_id] = (epoch_src, epochs[node_id], record)
             bearing = record.bearing
             # Bearings live in (-pi, pi]; +pi lands on the last bin's
             # inclusive edge (the beam query scans a one-bin margin, so
@@ -232,7 +256,9 @@ class LinkCache:
             bins[sector].append(len(entries))
             ids.append(node_id)
             entries.append((node_id, bearing, record.delay_ns, record.rx_power))
-        row = _Row(self._move_seq, ids, entries, bins)
+        if self._snapshot[0] != move_seq:
+            self._snapshot = (move_seq, dict(epochs))
+        row = _Row(move_seq, self._snapshot[1], ids, entries, bins)
         self._rows[sender_id] = row
         return row
 
@@ -288,4 +314,4 @@ class LinkCache:
 
     def cached_pairs(self) -> int:
         """Number of ordered pairs currently in the point cache."""
-        return len(self._links)
+        return sum(map(len, self._links.values()))

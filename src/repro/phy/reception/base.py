@@ -5,9 +5,10 @@ used to answer for themselves:
 
 * **link budget** — for an ordered node pair, is a transmission from
   ``src`` audible at ``dst`` at all, and at what received power?  The
-  channel's fan-out and the :class:`~repro.phy.linkcache.LinkCache`
-  rows both resolve through this, so received power is computed in
-  exactly one place per model.
+  channel's fan-out resolves through ``link_budget`` and the
+  :class:`~repro.phy.linkcache.LinkCache` rows through its row form
+  ``link_budgets``, which a model may override with a faster loop that
+  gives the same values.
 * **reception outcome** — given the signals impinging on one radio
   over time, which frame (if any) is decoded?  Each radio owns a
   :class:`Receiver` created by the model; the radio keeps the
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import enum
 from abc import ABC, abstractmethod
+from collections.abc import Sequence
 from typing import TYPE_CHECKING
 
 from ..propagation import Position, UnitDiskPropagation
@@ -104,6 +106,23 @@ class ReceptionModel(ABC):
         self, src_id: int, dst_id: int, src: Position, dst: Position
     ) -> tuple[bool, float]:
         """``(audible, rx_power)`` for a transmission ``src -> dst``."""
+
+    def link_budgets(
+        self,
+        src_id: int,
+        src: Position,
+        dst_ids: Sequence[int],
+        dsts: Sequence[Position],
+    ) -> list[tuple[bool, float]]:
+        """:meth:`link_budget` from ``src_id`` to each of ``dst_ids``, in order.
+
+        ``dsts`` holds the receivers' positions.  Overrides must return
+        exactly the per-pair values.
+        """
+        link_budget = self.link_budget
+        return [
+            link_budget(src_id, dst_id, src, dst) for dst_id, dst in zip(dst_ids, dsts)
+        ]
 
     @abstractmethod
     def make_receiver(self) -> Receiver:

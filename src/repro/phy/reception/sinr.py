@@ -9,7 +9,7 @@ away (and arXiv:1509.02325 analyses for directional antennas):
 * **Lognormal shadowing** — a zero-mean gaussian in the dB domain,
   scaled by ``shadowing_sigma_db``, drawn once per *ordered* node pair
   as the first gaussian of a registry-named RNG stream
-  (``shadow-{src}-{dst}``, via ``RngRegistry.gauss_once``, which keeps
+  (``shadow-{src}-{dst}``, via ``RngRegistry.gauss_many``, which keeps
   no stream object).  Link budgets are a pure function of
   ``(registry seed, src, dst)`` regardless of query order, and the two
   directions of a pair shadow independently — the model can express a
@@ -18,9 +18,18 @@ away (and arXiv:1509.02325 analyses for directional antennas):
   per registry master seed, in a bounded map shared by every model
   built on that seed (the (scheme, theta) cells of one campaign
   replicate, and sigmas that differ), so only the first build on a
-  seed pays for them.  The memo holds about 4M pairs (~32 MB) across
-  seeds, evicting the least recently used seed; what it holds never
-  changes a result, only how fast it is computed.
+  seed pays for them.  A map always holds whole squares: the first
+  query that names a node id past it draws every ordered pair of ids
+  up to that one in a single bulk pass (for a network with ids
+  ``0..n-1``, the first row fill draws the whole network).  The memo
+  holds about 4M pairs (~32 MB) across seeds, evicting the least
+  recently used seed; what it holds never changes a result, only how
+  fast it is computed.
+* **Row fills** — :meth:`SinrCaptureReception.link_budgets` answers a
+  sender's whole row in one flat loop, with the arithmetic of
+  :meth:`~SinrCaptureReception.rx_power_dbm` and :func:`dbm_to_mw` in
+  the same order, so it equals the per-pair ``link_budget`` bit for
+  bit.
 * **Sensitivity** — a signal below ``sensitivity_dbm`` at the receiver
   is not audible at all: the channel never schedules its edges, so it
   neither decodes nor interferes.  (LoRa-style reception tables make
@@ -44,7 +53,9 @@ from __future__ import annotations
 import math
 from array import array
 from collections import OrderedDict
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from itertools import islice, repeat
 from typing import TYPE_CHECKING
 
 from ...dessim.rng import RngRegistry
@@ -66,8 +77,6 @@ __all__ = [
 #: doubles, ~32 MB.  A paper-scale campaign (50 topologies of 200
 #: nodes) needs ~2M.
 _MEMO_PAIRS = 1 << 22
-
-_NAN = array("d", [math.nan])
 
 
 def dbm_to_mw(dbm: float) -> float:
@@ -96,14 +105,24 @@ def _pair_slot(src_id: int, dst_id: int) -> int:
     return dst_id * dst_id + src_id
 
 
+def _shell_names(start: int, stop: int) -> Iterator[str]:
+    """Pair-stream names of the shells ``start..stop-1``, in slot order."""
+    for top in range(start, stop):
+        for src in range(top):
+            yield f"shadow-{src}-{top}"
+        for dst in range(top + 1):
+            yield f"shadow-{top}-{dst}"
+
+
 class _ShadowingMemo:
     """Unit shadowing draws per registry master seed, LRU-bounded.
 
-    One ``array('d')`` per seed, indexed by :func:`_pair_slot`, NaN
-    for a pair not drawn yet.  Growing a map evicts the least recently
-    used other seeds until the maps hold at most ``max_pairs`` slots;
-    a map that alone would pass the bound stops growing, and pairs
-    beyond it are drawn on every query instead.
+    One ``array('d')`` per seed, indexed by :func:`_pair_slot` and
+    always whole shells: a map of ``m*m`` slots holds the draw of every
+    ordered pair of ids below ``m``, the diagonal included.  Growing a
+    map evicts the least recently used other seeds until the maps hold
+    at most ``max_pairs`` slots; a map that alone would pass the bound
+    stops growing, and pairs beyond it are drawn on every query instead.
     """
 
     def __init__(self, max_pairs: int) -> None:
@@ -120,21 +139,28 @@ class _ShadowingMemo:
             maps.move_to_end(seed)
         return draws
 
-    def store(self, draws: array, slot: int, draw: float) -> None:
-        """Remember ``draw`` at ``slot`` of ``draws`` if the bound allows."""
-        if slot >= len(draws):
-            size = (math.isqrt(slot) + 1) ** 2  # whole shells
-            if size > self.max_pairs:
-                return
-            draws.extend(_NAN * (size - len(draws)))
-            maps = self._maps
-            total = self.pairs()
-            for seed in list(maps):
-                if total <= self.max_pairs:
-                    break
-                if maps[seed] is not draws:
-                    total -= len(maps.pop(seed))
-        draws[slot] = draw
+    def cover(self, draws: array, registry: RngRegistry, ids: int) -> bool:
+        """Whether ``draws`` holds every pair of ids below ``ids``.
+
+        A map short of them grows by whole shells, all their pairs drawn
+        in one :meth:`~repro.dessim.rng.RngRegistry.gauss_many` call,
+        unless that would pass the bound.
+        """
+        size = ids * ids
+        if size <= len(draws):
+            return True
+        if size > self.max_pairs:
+            return False
+        names = _shell_names(math.isqrt(len(draws)), ids)
+        draws.extend(registry.gauss_many(names))
+        maps = self._maps
+        total = self.pairs()
+        for seed in list(maps):
+            if total <= self.max_pairs:
+                break
+            if maps[seed] is not draws:
+                total -= len(maps.pop(seed))
+        return True
 
     def pairs(self) -> int:
         """Slots currently held across all seeds."""
@@ -294,6 +320,10 @@ class SinrCaptureReception(ReceptionModel):
         self._noise_mw = dbm_to_mw(noise_dbm)
         self._capture_ratio = dbm_to_mw(capture_threshold_db)  # dB -> ratio
         self._unit_draws = _MEMO.draws_for(registry.master_seed)
+        # The memo-hit guard's progress through the registry's stream
+        # names (see _require_unstreamed_row).
+        self._streams_seen = 0
+        self._shadow_streamed = False
 
     # ------------------------------------------------------------------
 
@@ -305,30 +335,62 @@ class SinrCaptureReception(ReceptionModel):
         function of the registry seed and the ordered pair —
         independent of when (or how often) the link is queried, and
         stable across mobility (per-pair, not per-position, the
-        standard simplification).  The draw comes from
-        :meth:`~repro.dessim.rng.RngRegistry.gauss_once`, so no stream
-        is kept per pair, and the unit draw is remembered in the
-        process-wide per-seed memo, so later models on the same seed
-        reuse it.  Zero sigma draws nothing and returns 0.0.
+        standard simplification).  The unit draw comes from the
+        process-wide per-seed memo, grown to the pair's square on a
+        miss (see :class:`_ShadowingMemo`), so no stream is kept per
+        pair and later models on the same seed reuse it.  Zero sigma
+        draws nothing and returns 0.0.
 
         Raises:
             ValueError: the registry already handed the pair's stream
-                out through ``stream()``, memoized draw or not.
+                out through ``stream()``, memoized draw or not (or,
+                on a miss, the stream of another pair of the square).
         """
         sigma = self.shadowing_sigma_db
         if not sigma:
             return 0.0
         name = f"shadow-{src_id}-{dst_id}"
-        draws = self._unit_draws
         slot = _pair_slot(src_id, dst_id)
-        draw = draws[slot] if 0 <= slot < len(draws) else math.nan
-        if draw == draw:
+        draws = self._unit_draws
+        if slot >= 0 and _MEMO.cover(draws, self.registry, max(src_id, dst_id) + 1):
             self.registry.require_unstreamed(name)
-        else:  # NaN: not drawn on this seed yet
-            draw = self.registry.gauss_once(name)
-            if slot >= 0:
-                _MEMO.store(draws, slot, draw)
-        return draw * sigma
+            return draws[slot] * sigma
+        return self.registry.gauss_once(name) * sigma
+
+    def _unit_row(self, src_id: int, dst_ids: Sequence[int]) -> Sequence[float]:
+        """Unit draws of ``src_id -> d`` for each ``d`` of ``dst_ids``.
+
+        From the seed's memo map, grown to cover the ids; past the memo
+        bound (or for a negative id), drawn in one bulk call.
+        """
+        registry = self.registry
+        ids = [src_id, *dst_ids]
+        draws = self._unit_draws
+        if min(ids) >= 0 and _MEMO.cover(draws, registry, max(ids) + 1):
+            self._require_unstreamed_row(src_id, dst_ids)
+            own = src_id * (src_id + 1)  # slot of (src_id, 0)
+            return [
+                draws[own + dst] if dst <= src_id else draws[dst * dst + src_id]
+                for dst in dst_ids
+            ]
+        return registry.gauss_many(f"shadow-{src_id}-{dst}" for dst in dst_ids)
+
+    def _require_unstreamed_row(self, src_id: int, dst_ids: Iterable[int]) -> None:
+        """The memo-hit guard of :meth:`shadowing_db`, for a whole row.
+
+        Stream names only accumulate, so each call scans just the names
+        created since the previous one; the per-pair check runs only
+        once some ``shadow-`` stream exists, which no simulation makes.
+        """
+        registry = self.registry
+        names = registry.stream_names()
+        if not self._shadow_streamed and len(names) != self._streams_seen:
+            fresh = islice(names, self._streams_seen, None)
+            self._shadow_streamed = any(n.startswith("shadow-") for n in fresh)
+            self._streams_seen = len(names)
+        if self._shadow_streamed:
+            for dst_id in dst_ids:
+                registry.require_unstreamed(f"shadow-{src_id}-{dst_id}")
 
     def rx_power_dbm(
         self, src_id: int, dst_id: int, src: Position, dst: Position
@@ -354,6 +416,38 @@ class SinrCaptureReception(ReceptionModel):
         """
         power_mw = dbm_to_mw(self.rx_power_dbm(src_id, dst_id, src, dst))
         return (power_mw >= self._sensitivity_mw, power_mw)
+
+    def link_budgets(
+        self,
+        src_id: int,
+        src: Position,
+        dst_ids: Sequence[int],
+        dsts: Sequence[Position],
+    ) -> list[tuple[bool, float]]:
+        """:meth:`link_budget` of each pair, the row's draws fetched at once.
+
+        One flat loop with :meth:`rx_power_dbm`'s and
+        :func:`dbm_to_mw`'s operations in the same order, so every
+        budget is bit-identical to the per-pair call.
+        """
+        sigma = self.shadowing_sigma_db
+        units = self._unit_row(src_id, dst_ids) if sigma else repeat(0.0)
+        tx_power = self.tx_power_dbm
+        reference_loss = self.reference_loss_db
+        slope = 10.0 * self.pathloss_exponent
+        reference = self.reference_distance_m
+        sensitivity = self._sensitivity_mw
+        hypot, log10 = math.hypot, math.log10
+        src_x, src_y = src.x, src.y
+        budgets = []
+        for dst, unit in zip(dsts, units):
+            distance = hypot(dst.x - src_x, dst.y - src_y)
+            if distance < reference:
+                distance = reference
+            path_loss_db = reference_loss + slope * log10(distance / reference)
+            power_mw = 10.0 ** ((tx_power - path_loss_db + unit * sigma) / 10.0)
+            budgets.append((power_mw >= sensitivity, power_mw))
+        return budgets
 
     def make_receiver(self) -> SinrReceiver:
         return SinrReceiver(self._noise_mw, self._capture_ratio)

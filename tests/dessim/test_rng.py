@@ -1,10 +1,12 @@
 """Tests for deterministic random streams."""
 
 import hashlib
+import random as random_module
 
 import pytest
 
 from repro.dessim import RngRegistry
+from repro.dessim.rng import _GAUSS_CHUNK, first_gaussians
 
 
 class TestRngRegistry:
@@ -113,6 +115,66 @@ class TestGaussOnce:
         registry.require_unstreamed("free")
 
 
+class TestGaussMany:
+    """``gauss_many(names)`` is ``[gauss_once(name) for name in names]``."""
+
+    EDGE_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 - 1)
+
+    def test_equals_gauss_once_on_edge_master_seeds(self):
+        names = [f"shadow-{s}-{d}" for s in range(6) for d in range(6)]
+        for seed in self.EDGE_SEEDS:
+            registry = RngRegistry(seed)
+            assert registry.gauss_many(names) == [
+                registry.gauss_once(name) for name in names
+            ]
+
+    def test_mt_seeding_matches_random_across_key_lengths(self):
+        # Random.seed keys one 32-bit word per started 32 bits: these
+        # seeds take one, two and three words, mixed in one call.
+        seeds = [*self.EDGE_SEEDS, 2**64, 2**96 + 5, 7, 2**40]
+        expected = [random_module.Random(s).gauss(0.0, 1.0) for s in seeds]
+        assert first_gaussians(seeds) == expected
+
+    def test_whole_network_block(self):
+        # Every ordered pair of a 200-node network: 39,800 names.
+        registry = RngRegistry(2003)
+        names = [
+            f"shadow-{s}-{d}" for s in range(200) for d in range(200) if s != d
+        ]
+        assert len(names) == 39_800
+        assert registry.gauss_many(names) == [
+            registry.gauss_once(name) for name in names
+        ]
+
+    def test_across_chunk_boundaries(self):
+        registry = RngRegistry(5)
+        for count in (_GAUSS_CHUNK - 1, _GAUSS_CHUNK, _GAUSS_CHUNK + 1):
+            names = [f"n{i}" for i in range(count)]
+            assert registry.gauss_many(names) == [
+                registry.gauss_once(name) for name in names
+            ]
+        seeds = [2**32 - 2 + i % 3 for i in range(2 * _GAUSS_CHUNK + 3)]
+        expected = [random_module.Random(s).gauss(0.0, 1.0) for s in seeds]
+        assert first_gaussians(seeds) == expected
+
+    def test_empty(self):
+        assert RngRegistry(3).gauss_many([]) == []
+        assert first_gaussians([]) == []
+
+    def test_accepts_a_generator_and_keeps_no_stream(self):
+        registry = RngRegistry(3)
+        values = registry.gauss_many(f"shadow-1-{d}" for d in range(4))
+        assert values == [RngRegistry(3).gauss_once(f"shadow-1-{d}") for d in range(4)]
+        assert list(registry.stream_names()) == []
+
+    def test_rejects_a_name_already_streamed(self):
+        registry = RngRegistry(5)
+        registry.stream("taken")
+        with pytest.raises(ValueError, match="taken"):
+            registry.gauss_many(["free", "taken"])
+        assert registry.gauss_many(["free"]) == [registry.gauss_once("free")]
+
+
 class TestSeedStability:
     """The (master_seed, name) -> stream mapping is a contract.
 
@@ -127,8 +189,6 @@ class TestSeedStability:
         assert expected == 7550964712488899809
         assert RngRegistry(2003).seed_of("backoff") == expected
         stream = RngRegistry(2003).stream("backoff")
-        import random as random_module
-
         reference = random_module.Random(expected)
         assert [stream.random() for _ in range(4)] == [
             reference.random() for _ in range(4)

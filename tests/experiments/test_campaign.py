@@ -232,16 +232,22 @@ class TestKilledCampaignResume:
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (src_dir, env.get("PYTHONPATH", "")) if p
         )
-        proc = subprocess.Popen([sys.executable, "-c", script], env=env)
+        # A session of its own, so the kill takes the pool workers with
+        # the parent instead of leaving them orphaned.
+        proc = subprocess.Popen(
+            [sys.executable, "-c", script], env=env, start_new_session=True
+        )
         try:
             deadline = time.monotonic() + 60
             while time.monotonic() < deadline:
                 if list(directory.glob("cell-*.json")) or proc.poll() is not None:
                     break
                 time.sleep(0.02)
-            if proc.poll() is None:
-                proc.send_signal(signal.SIGKILL)
         finally:
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:  # the whole group already exited
+                pass
             proc.wait(timeout=60)
         survivors = {
             path: path.stat().st_mtime_ns for path in directory.glob("cell-*.json")

@@ -4,8 +4,27 @@ from dataclasses import dataclass, field
 
 import pytest
 
-from repro.dessim import Simulator
+from repro.dessim import RngRegistry, Simulator
 from repro.phy import Channel, Frame, Position, Radio, UnitDiskPropagation
+
+
+class CountingRegistry(RngRegistry):
+    """A registry that counts one-shot draws, single and bulk."""
+
+    def __init__(self, master_seed):
+        super().__init__(master_seed)
+        self.draws = 0
+        self.bulk_calls = 0
+
+    def gauss_once(self, name):
+        self.draws += 1
+        return super().gauss_once(name)
+
+    def gauss_many(self, names):
+        values = super().gauss_many(names)
+        self.draws += len(values)
+        self.bulk_calls += 1
+        return values
 
 
 @dataclass

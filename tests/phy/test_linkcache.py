@@ -12,7 +12,7 @@ with the fast path on and off.
 import math
 import random
 
-from repro.dessim import Simulator, seconds
+from repro.dessim import RngRegistry, Simulator, seconds
 from repro.net import NetworkSimulation, TopologyConfig, generate_ring_topology
 from repro.phy import (
     Channel,
@@ -20,9 +20,13 @@ from repro.phy import (
     Position,
     Radio,
     SectorAntenna,
+    SinrCaptureReception,
     UnitDiskPropagation,
     UnitDiskReception,
 )
+from repro.phy.reception import clear_shadowing_memo, sinr
+
+from .conftest import CountingRegistry
 
 RANGE_M = 300.0
 
@@ -242,6 +246,100 @@ def test_row_rebuild_budgets_only_the_movers_pairs():
     for src, dst in unmoved_inaudible:
         assert channel.link(src, dst) == naive.link(src, dst)
         assert not channel.link(src, dst).in_range
+
+
+class CountingSinrReception(SinrCaptureReception):
+    """SINR reception that records every pair a row fill budgets."""
+
+    def __init__(self, registry, sigma):
+        super().__init__(
+            UnitDiskPropagation(range_m=RANGE_M),
+            registry,
+            shadowing_sigma_db=sigma,
+        )
+        self.row_pairs = []
+
+    def link_budgets(self, src_id, src, dst_ids, dsts):
+        self.row_pairs += [(src_id, dst_id) for dst_id in dst_ids]
+        return super().link_budgets(src_id, src, dst_ids, dsts)
+
+
+def _sinr_fields(positions, registry, sigma):
+    """A cached SINR channel (counting row fills) and a naive twin."""
+    naive_reception = SinrCaptureReception(
+        UnitDiskPropagation(range_m=RANGE_M),
+        RngRegistry(registry.master_seed),
+        shadowing_sigma_db=sigma,
+    )
+    fields = []
+    for reception, link_cache in (
+        (CountingSinrReception(registry, sigma), True),
+        (naive_reception, False),
+    ):
+        sim = Simulator()
+        channel = Channel(sim, reception=reception, link_cache=link_cache)
+        radios = [Radio(sim, i, pos, channel) for i, pos in enumerate(positions)]
+        fields.append((channel, radios))
+    return fields
+
+
+def _assert_rows_match_per_pair_budgets(cached, naive):
+    """Row entries, then every pair's link(), equal the per-pair path."""
+    (channel, radios), (naive_channel, naive_radios) = cached, naive
+    omni = OmniAntenna()
+    for radio, naive_radio in zip(radios, naive_radios):
+        row = channel.audible_entries(radio, omni)
+        assert row == naive_channel.audible_entries(naive_radio, omni)
+    count = len(radios)
+    for src in range(count):
+        for dst in range(count):
+            if src != dst:
+                assert channel.link(src, dst) == naive_channel.link(src, dst)
+
+
+def _sinr_ring_positions():
+    topology = generate_ring_topology(
+        TopologyConfig(n=8, rings=5), random.Random(5)
+    )
+    positions = [topology.positions[i] for i in range(len(topology.positions))]
+    assert len(positions) == 200
+    return positions
+
+
+def test_sinr_row_fill_matches_per_pair_link_budget():
+    """The lean SINR row fill equals per-pair link_budget on every
+    ordered pair of a 200-node network, cold and after a move, and a
+    move re-budgets only the mover's pairs."""
+    clear_shadowing_memo()
+    positions = _sinr_ring_positions()
+    cached, naive = _sinr_fields(positions, RngRegistry(9), sigma=6.0)
+    reception = cached[0].reception
+    _assert_rows_match_per_pair_budgets(cached, naive)
+    count = len(positions)
+    assert sorted(reception.row_pairs) == [
+        (s, d) for s in range(count) for d in range(count) if s != d
+    ]
+    audible = sum(len(cached[0].neighbors_of(s)) for s in range(count))
+    assert 0 < audible < count * (count - 1), "needs audible and inaudible pairs"
+
+    reception.row_pairs.clear()
+    mover = 17
+    for _channel, radios in (cached, naive):
+        radios[mover].position = Position(15.0, -40.0)
+    _assert_rows_match_per_pair_budgets(cached, naive)
+    assert sorted(reception.row_pairs) == sorted(
+        [(mover, d) for d in range(count) if d != mover]
+        + [(s, mover) for s in range(count) if s != mover]
+    )
+
+
+def test_sinr_row_fill_with_zero_sigma_draws_nothing():
+    clear_shadowing_memo()
+    registry = CountingRegistry(9)
+    cached, naive = _sinr_fields(_sinr_ring_positions(), registry, sigma=0.0)
+    _assert_rows_match_per_pair_budgets(cached, naive)
+    assert registry.draws == 0
+    assert sinr._MEMO.pairs() == 0
 
 
 def test_neighbors_of_served_from_cache_not_naive_sweep():

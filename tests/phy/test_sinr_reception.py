@@ -29,7 +29,7 @@ from repro.phy import (
 )
 from repro.phy.reception import clear_shadowing_memo, dbm_to_mw, mw_to_dbm, sinr
 
-from .conftest import RecordingMac
+from .conftest import CountingRegistry, RecordingMac
 
 
 def sinr_model(seed=0, **knobs):
@@ -37,18 +37,6 @@ def sinr_model(seed=0, **knobs):
     return SinrCaptureReception(
         UnitDiskPropagation(range_m=300.0), RngRegistry(seed), **knobs
     )
-
-
-class CountingRegistry(RngRegistry):
-    """A registry that counts one-shot draws."""
-
-    def __init__(self, master_seed):
-        super().__init__(master_seed)
-        self.draws = 0
-
-    def gauss_once(self, name):
-        self.draws += 1
-        return super().gauss_once(name)
 
 
 def make_net(reception):
@@ -146,10 +134,14 @@ class TestShadowingDeterminism:
         model = SinrCaptureReception(
             UnitDiskPropagation(range_m=300.0), registry, shadowing_sigma_db=0.0
         )
+        memo_pairs = sinr._MEMO.pairs()
         for dst in range(2, 12):
             model.link_budget(1, dst, Position(0, 0), Position(10.0 * dst, 0))
+        dsts = list(range(2, 12))
+        model.link_budgets(1, Position(0, 0), dsts, [Position(10.0 * d, 0) for d in dsts])
         assert registry.draws == 0
         assert registry._streams == {}
+        assert sinr._MEMO.pairs() == memo_pairs
 
     def test_directions_shadow_independently(self):
         model = sinr_model(seed=7, shadowing_sigma_db=6.0)
@@ -175,19 +167,13 @@ class TestShadowingDeterminism:
             seed=1,
             phy_config=PhyConfig(model="sinr"),
         )
-        # Every ordered pair was shadowed into the seed's memo map (and
-        # only those: the diagonal stays undrawn), yet no stream was
-        # kept for any of them.
+        # The first row fill shadowed the whole 200 x 200 square (the
+        # diagonal too) into the seed's memo map, yet no stream was
+        # kept for any pair.
         draws = net.channel.reception._unit_draws
         assert draws is sinr._MEMO.draws_for(net.rng.master_seed)
-        drawn = {
-            (src, dst)
-            for src in range(200)
-            for dst in range(200)
-            if not math.isnan(draws[sinr._pair_slot(src, dst)])
-        }
-        assert len(drawn) == 200 * 199
-        assert all(src != dst for src, dst in drawn)
+        assert len(draws) == 200 * 200
+        assert not any(math.isnan(draw) for draw in draws)
         names = list(net.rng._streams)
         assert names, "the MACs and sources still draw from named streams"
         assert not [name for name in names if name.startswith("shadow-")]
@@ -216,7 +202,10 @@ class TestShadowingMemo:
     def test_memo_served_draws_equal_the_pair_streams(self):
         cold, cold_registry = self.counted(7)
         first = [cold.shadowing_db(src, dst) for src, dst in self.PAIRS]
-        assert cold_registry.draws == len(self.PAIRS)
+        # (1, 2) drew the square of ids 0..2 and (0, 199) the shells
+        # on up to 199, each in one bulk call.
+        assert cold_registry.draws == 200 * 200
+        assert cold_registry.bulk_calls == 2
         warm, warm_registry = self.counted(7)
         for (src, dst), value in zip(self.PAIRS, first):
             unit = RngRegistry(7).stream(f"shadow-{src}-{dst}").gauss(0.0, 1.0)
@@ -237,7 +226,7 @@ class TestShadowingMemo:
         a, _ = self.counted(7)
         b, b_registry = self.counted(8)
         assert a.shadowing_db(1, 2) != b.shadowing_db(1, 2)
-        assert b_registry.draws == 1
+        assert b_registry.draws == 3 * 3
         expected = RngRegistry(8).stream("shadow-1-2").gauss(0.0, 1.0) * 6.0
         assert b.shadowing_db(1, 2) == expected
 
@@ -276,7 +265,7 @@ class TestShadowingMemo:
             assert evicted.shadowing_db(src, dst) == unit * 6.0
             warm.shadowing_db(src, dst)
         assert warm_registry.draws == 0
-        assert evicted_registry.draws == len(pairs)
+        assert evicted_registry.draws == 7 * 7
         assert sinr._MEMO.pairs() <= 100
 
     def test_map_larger_than_the_bound_is_not_stored(self, monkeypatch):
@@ -286,6 +275,12 @@ class TestShadowingMemo:
         assert model.shadowing_db(20, 1) == unit * 6.0
         assert model.shadowing_db(20, 1) == unit * 6.0
         assert registry.draws == 2
+        # A row past the bound is drawn in bulk on every fill.
+        src, dst = Position(0, 0), Position(120, 0)
+        expected = model.link_budget(20, 1, src, dst)
+        assert model.link_budgets(20, src, [1], [dst]) == [expected]
+        assert registry.draws == 4
+        assert registry.bulk_calls == 1
         assert sinr._MEMO.pairs() <= 100
 
     def test_guard_fires_on_a_memo_hit(self):
@@ -299,8 +294,50 @@ class TestShadowingMemo:
         assert model._unit_draws[sinr._pair_slot(1, 2)] == warm.shadowing_db(
             1, 2
         ) / 6.0
+        origin, spots = Position(0, 0), [Position(50, 0), Position(0, 50)]
+        with pytest.raises(ValueError, match="already in use"):
+            model.link_budgets(1, origin, [0, 2], spots)
         with pytest.raises(ValueError, match="already in use"):
             model.shadowing_db(1, 2)
+        # Rows without the streamed pair are served from the memo.
+        model.link_budgets(2, origin, [0, 1], spots)
+        model.link_budgets(0, origin, [1, 2], spots)
+        # A stream handed out after earlier row fills is caught too.
+        registry.stream("shadow-2-0")
+        with pytest.raises(ValueError, match="shadow-2-0"):
+            model.link_budgets(2, origin, [0, 1], spots)
+
+    def test_guard_fires_before_a_bulk_draw(self):
+        registry = RngRegistry(3)
+        registry.stream("shadow-2-0")
+        model = SinrCaptureReception(
+            UnitDiskPropagation(range_m=300.0), registry, shadowing_sigma_db=6.0
+        )
+        # The row needs (0, 1) and (0, 2), but its fill would draw the
+        # whole square of ids 0..2, the streamed pair included.
+        origin, spots = Position(0, 0), [Position(50, 0), Position(0, 50)]
+        with pytest.raises(ValueError, match="shadow-2-0"):
+            model.link_budgets(0, origin, [1, 2], spots)
+        assert len(model._unit_draws) == 0, "a map holds whole shells only"
+
+    def test_row_fill_draws_whole_shells_of_the_pair_streams(self):
+        model, registry = self.counted(7)
+        origin = Position(0, 0)
+        others = [dst for dst in range(12) if dst != 5]
+        spots = [Position(20.0 * dst, 0) for dst in others]
+        model.link_budgets(5, origin, others, spots)
+        assert (registry.bulk_calls, registry.draws) == (1, 12 * 12)
+        draws = model._unit_draws
+        assert len(draws) == 12 * 12
+        for src in range(12):
+            for dst in range(12):
+                stream = RngRegistry(7).stream(f"shadow-{src}-{dst}")
+                assert draws[sinr._pair_slot(src, dst)] == stream.gauss(0.0, 1.0)
+        # A larger id grows the map by the missing shells only.
+        model.link_budgets(14, origin, [0, 3], spots[:2])
+        assert (registry.bulk_calls, registry.draws) == (2, 15 * 15)
+        model.link_budgets(3, origin, [14, 0], spots[:2])
+        assert (registry.bulk_calls, registry.draws) == (2, 15 * 15)
 
     def test_cell_order_and_memo_state_do_not_change_results(self):
         # The nine (scheme, theta) cells of one replicate share its
