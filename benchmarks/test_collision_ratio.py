@@ -7,8 +7,7 @@ force all the neighbors around the sending and receiving nodes to defer"
 and "the collision ratio is still rather high" for large N.
 """
 
-from repro.experiments import CollisionCell, format_collision_table
-from repro.metrics import summarize
+from repro.experiments import GRID_STATISTICS, summarize_grid
 
 from .conftest import mean_metric
 
@@ -16,23 +15,15 @@ from .conftest import mean_metric
 def test_collision_ratio(benchmark, sim_grid):
     config, cells = sim_grid
 
-    def summarize_grid():
-        return [
-            CollisionCell(
-                n=c.n,
-                scheme=c.scheme,
-                beamwidth_deg=c.beamwidth_deg,
-                collision_ratio=summarize(c.metric("inner_collision_ratio")),
-            )
-            for c in cells
-        ]
-
-    table = benchmark.pedantic(summarize_grid, rounds=1, iterations=1)
+    statistic = GRID_STATISTICS["collision"]
+    table = benchmark.pedantic(
+        summarize_grid, args=(cells, statistic.metric), rounds=1, iterations=1
+    )
     print("\nSection 4 statistic: collision ratio (ACK timeouts / data-stage handshakes)")
-    print(format_collision_table(table))
+    print(statistic.format(table))
 
     for cell in table:
-        assert 0.0 <= cell.collision_ratio.mean <= 1.0
+        assert 0.0 <= cell.summary.mean <= 1.0
 
     # Directional schemes pay for spatial reuse with more collisions,
     # at every density and beamwidth in the grid.

@@ -13,8 +13,7 @@ parts: fairness indices are valid, and starvation is visible (the index
 drops well below 1) for saturated directional cells at small N.
 """
 
-from repro.experiments import FairnessCell, format_fairness_table
-from repro.metrics import summarize
+from repro.experiments import GRID_STATISTICS, summarize_grid
 
 from .conftest import mean_metric
 
@@ -22,24 +21,16 @@ from .conftest import mean_metric
 def test_fairness(benchmark, sim_grid):
     config, cells = sim_grid
 
-    def summarize_grid():
-        return [
-            FairnessCell(
-                n=c.n,
-                scheme=c.scheme,
-                beamwidth_deg=c.beamwidth_deg,
-                jain=summarize(c.metric("inner_fairness")),
-            )
-            for c in cells
-        ]
-
-    table = benchmark.pedantic(summarize_grid, rounds=1, iterations=1)
+    statistic = GRID_STATISTICS["fairness"]
+    table = benchmark.pedantic(
+        summarize_grid, args=(cells, statistic.metric), rounds=1, iterations=1
+    )
     print("\nSection 4 discussion: Jain fairness of inner-node throughputs")
-    print(format_fairness_table(table))
+    print(statistic.format(table))
 
     for cell in table:
-        assert 0.0 < cell.jain.mean <= 1.0
+        assert 0.0 < cell.summary.mean <= 1.0
 
     # Starvation exists: somewhere in the saturated grid the index
     # falls clearly below perfect fairness.
-    assert min(cell.jain.minimum for cell in table) < 0.95
+    assert min(cell.summary.minimum for cell in table) < 0.95

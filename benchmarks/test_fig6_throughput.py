@@ -11,8 +11,7 @@ all-directional DRTS-DCTS clearly outperforms omni-directional IEEE
 replicate counts; the paper itself needed 50 topologies.)
 """
 
-from repro.experiments import Fig6Cell, format_fig6_table
-from repro.metrics import summarize
+from repro.experiments import GRID_STATISTICS, summarize_grid
 
 from .conftest import mean_metric
 
@@ -20,20 +19,12 @@ from .conftest import mean_metric
 def test_fig6_throughput(benchmark, sim_grid):
     config, cells = sim_grid
 
-    def summarize_grid():
-        return [
-            Fig6Cell(
-                n=c.n,
-                scheme=c.scheme,
-                beamwidth_deg=c.beamwidth_deg,
-                throughput_bps=summarize(c.metric("inner_throughput_bps")),
-            )
-            for c in cells
-        ]
-
-    table = benchmark.pedantic(summarize_grid, rounds=1, iterations=1)
+    statistic = GRID_STATISTICS["fig6"]
+    table = benchmark.pedantic(
+        summarize_grid, args=(cells, statistic.metric), rounds=1, iterations=1
+    )
     print("\nFig. 6: simulated saturation throughput")
-    print(format_fig6_table(table))
+    print(statistic.format(table))
 
     # Curve shapes per density, like the paper's figure.
     from repro.report import line_chart
@@ -42,7 +33,7 @@ def test_fig6_throughput(benchmark, sim_grid):
         series = {}
         for scheme in config.schemes:
             pts = [
-                (c.beamwidth_deg, c.throughput_bps.mean / 1e6)
+                (c.beamwidth_deg, c.summary.mean / 1e6)
                 for c in table
                 if c.n == n and c.scheme == scheme
             ]
@@ -62,7 +53,7 @@ def test_fig6_throughput(benchmark, sim_grid):
 
     # Every cell produced live traffic.
     for cell in table:
-        assert cell.throughput_bps.mean > 0
+        assert cell.summary.mean > 0
 
     if 8 in config.n_values:
         narrow = min(config.beamwidths_deg)

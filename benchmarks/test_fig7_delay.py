@@ -9,12 +9,12 @@ other two schemes, especially when N is large."
 import math
 
 from repro.experiments import (
-    Fig7Cell,
-    format_fig7_table,
+    GRID_STATISTICS,
     replicate_seed,
     replicate_topology,
+    summarize_grid,
 )
-from repro.metrics import delay_percentiles, summarize
+from repro.metrics import delay_percentiles
 from repro.net import NetworkSimulation
 
 from .conftest import mean_metric
@@ -23,20 +23,12 @@ from .conftest import mean_metric
 def test_fig7_delay(benchmark, sim_grid):
     config, cells = sim_grid
 
-    def summarize_grid():
-        return [
-            Fig7Cell(
-                n=c.n,
-                scheme=c.scheme,
-                beamwidth_deg=c.beamwidth_deg,
-                delay_s=summarize(c.metric("inner_mean_delay_s")),
-            )
-            for c in cells
-        ]
-
-    table = benchmark.pedantic(summarize_grid, rounds=1, iterations=1)
+    statistic = GRID_STATISTICS["fig7"]
+    table = benchmark.pedantic(
+        summarize_grid, args=(cells, statistic.metric), rounds=1, iterations=1
+    )
     print("\nFig. 7: simulated mean MAC service delay")
-    print(format_fig7_table(table))
+    print(statistic.format(table))
 
     # Tail behaviour (not in the paper, useful context): delay
     # percentiles pooled over the inner nodes of each narrowest-beam
@@ -69,7 +61,7 @@ def test_fig7_delay(benchmark, sim_grid):
             )
 
     for cell in table:
-        assert 0.0 < cell.delay_s.mean < 10.0  # sane seconds range
+        assert 0.0 < cell.summary.mean < 10.0  # sane seconds range
 
     if 8 in config.n_values:
         narrow = min(config.beamwidths_deg)

@@ -17,7 +17,8 @@ from repro.dessim import seconds
 from repro.experiments import (
     MultihopStudyConfig,
     format_multihop_table,
-    run_multihop,
+    run_campaign,
+    summarize_multihop,
 )
 
 
@@ -34,7 +35,7 @@ def main() -> None:
             router=router,
             rings=2,
         )
-        print(format_multihop_table(run_multihop(config)))
+        print(format_multihop_table(summarize_multihop(run_campaign(config))))
     print("Reading: ORTS-OCTS ignores beamwidth (omni RTS/CTS), so its")
     print("column is flat; the directional scheme trades spatial reuse")
     print("against deafness along the relay path.  If greedy trails the")

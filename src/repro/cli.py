@@ -26,23 +26,18 @@ from .core import (
 )
 from .dessim.units import seconds
 from .experiments import (
+    GRID_STATISTICS,
     SimStudyConfig,
-    format_collision_table,
-    format_fairness_table,
     format_fig5_table,
-    format_fig6_table,
-    format_fig7_table,
     format_fixed_p_table,
     format_table1,
     format_tfail_table,
     normalize_scheme,
-    run_collision_ratio,
-    run_fairness,
+    run_campaign,
     run_fig5,
-    run_fig6,
-    run_fig7,
     run_fixed_p_ablation,
     run_tfail_ablation,
+    summarize_grid,
 )
 from .experiments.config import SCHEMES
 from .phy.reception import RECEPTION_MODELS
@@ -197,14 +192,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fig5.add_argument("--seed", type=int, default=2003, help="base seed (--measure)")
 
-    for name, help_text in (
-        ("fig6", "simulated throughput grid"),
-        ("fig7", "simulated delay grid"),
-        ("collision", "Section-4 collision-ratio statistic"),
-        ("fairness", "Section-4 fairness statistic"),
-    ):
-        cmd = sub.add_parser(name, help=help_text)
-        _add_sim_options(cmd)
+    for name, statistic in GRID_STATISTICS.items():
+        _add_sim_options(sub.add_parser(name, help=statistic.help))
 
     multihop = sub.add_parser(
         "multihop",
@@ -682,28 +671,16 @@ def main(argv: Sequence[str] | None = None) -> int:
                     )
                 )
             )
-    elif args.command == "fig6":
-        print(format_fig6_table(run_fig6(_sim_config(args), **_campaign_options(args))))
-    elif args.command == "fig7":
-        print(format_fig7_table(run_fig7(_sim_config(args), **_campaign_options(args))))
-    elif args.command == "collision":
-        print(
-            format_collision_table(
-                run_collision_ratio(_sim_config(args), **_campaign_options(args))
-            )
-        )
-    elif args.command == "fairness":
-        print(
-            format_fairness_table(
-                run_fairness(_sim_config(args), **_campaign_options(args))
-            )
-        )
+    elif args.command in GRID_STATISTICS:
+        statistic = GRID_STATISTICS[args.command]
+        cells = run_campaign(_sim_config(args), **_campaign_options(args))
+        print(statistic.format(summarize_grid(cells, statistic.metric)))
     elif args.command == "multihop":
         from .dessim.units import milliseconds
         from .experiments.multihop import (
             MultihopStudyConfig,
             format_multihop_table,
-            run_multihop,
+            summarize_multihop,
         )
 
         config = MultihopStudyConfig(
@@ -724,7 +701,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             f"Multi-hop study: router={args.router}, "
             f"{config.topologies} topologies, {args.sim_seconds:g}s simulated"
         )
-        print(format_multihop_table(run_multihop(config, **_campaign_options(args))))
+        cells = run_campaign(config, **_campaign_options(args))
+        print(format_multihop_table(summarize_multihop(cells)))
     elif args.command == "ablation":
         print("Fixed p vs optimised p (N=5, theta=30dg):")
         print(format_fixed_p_table(run_fixed_p_ablation()))
@@ -741,7 +719,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         from .experiments import (
             SlotStudyConfig,
             format_slotsim_table,
-            run_slot_study,
+            summarize_slotsim,
         )
 
         config = SlotStudyConfig(
@@ -759,7 +737,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             f"Slot-model study ({args.engine} engine): p={args.p:g}, "
             f"{config.topologies} topologies x {args.slots:,} slots"
         )
-        print(format_slotsim_table(run_slot_study(config, **_campaign_options(args))))
+        cells = run_campaign(config, **_campaign_options(args))
+        print(format_slotsim_table(summarize_slotsim(cells)))
     elif args.command == "sinr":
         from .experiments.sinr_study import (
             SinrStudyConfig,

@@ -1,16 +1,17 @@
-"""Experiment harness: one module per paper table/figure.
+"""Experiment harness: the paper's tables and figures, and the campaigns behind them.
 
 * :mod:`~repro.experiments.fig5` — analytical throughput vs beamwidth,
-* :mod:`~repro.experiments.fig6` — simulated throughput grid,
-* :mod:`~repro.experiments.fig7` — simulated delay grid,
 * :mod:`~repro.experiments.table1` — the DSSS configuration check,
-* :mod:`~repro.experiments.collision_ratio` — the Section-4 statistic,
-* :mod:`~repro.experiments.fairness` — the Section-4 fairness claims,
+* :mod:`~repro.experiments.tables` — the Section-4 grid statistics
+  (Fig. 6 throughput, Fig. 7 delay, collision ratio, fairness), each
+  one row of :data:`~repro.experiments.tables.GRID_STATISTICS` over
+  the same campaign cells, and the one grid-table printer,
 * :mod:`~repro.experiments.ablation` — design-choice ablations,
 * :mod:`~repro.experiments.campaign` — parallel, resumable grid
   execution (worker fan-out, per-cell result store, progress/ETA); the
   config's class picks each study's cell worker from the study table in
-  :mod:`~repro.experiments.dispatch.registry`,
+  :mod:`~repro.experiments.dispatch.registry`, so every study runs as
+  ``run_campaign(config)`` followed by its summarizer,
 * :mod:`~repro.experiments.multihop` — end-to-end multi-hop study over
   the routing subsystem (same campaign machinery, ``"multihop"`` cells),
 * :mod:`~repro.experiments.slotsim_study` — slot-model Monte-Carlo
@@ -64,14 +65,12 @@ from .ablation import (
     run_tfail_ablation,
 )
 from .baselines import BaselineRow, format_baseline_table, run_baseline_ladder
-from .collision_ratio import CollisionCell, format_collision_table, run_collision_ratio
 from .config import (
     SimStudyConfig,
     from_environment,
     normalize_scheme,
     workers_from_environment,
 )
-from .fairness import FairnessCell, format_fairness_table, run_fairness
 from .extension_schemes import (
     SchemeComparison,
     format_scheme_comparison,
@@ -91,15 +90,12 @@ from .mobility_study import (
     format_mobility_table,
     run_mobility_study,
 )
-from .fig6 import Fig6Cell, format_fig6_table, run_fig6
-from .fig7 import Fig7Cell, format_fig7_table, run_fig7
 from .multihop import (
     MultihopCell,
     MultihopReplicateMetrics,
     MultihopStudyConfig,
     format_multihop_table,
     multihop_replicate_topology,
-    run_multihop,
     run_multihop_cell_spec,
     summarize_multihop,
 )
@@ -109,7 +105,6 @@ from .sinr_study import (
     SinrStudyConfig,
     format_sinr_table,
     run_sinr_study,
-    sinr_from_environment,
     summarize_sinr_arm,
 )
 from .slotsim_study import (
@@ -118,10 +113,16 @@ from .slotsim_study import (
     SlotStudyConfig,
     format_slotsim_table,
     run_slot_cell_spec,
-    run_slot_study,
     summarize_slotsim,
 )
 from .table1 import Table1Entry, format_table1, table1_entries
+from .tables import (
+    GRID_STATISTICS,
+    GridCell,
+    GridStatistic,
+    format_grid,
+    summarize_grid,
+)
 
 __all__ = [
     "SimStudyConfig",
@@ -161,7 +162,6 @@ __all__ = [
     "SlotCell",
     "SlotReplicateMetrics",
     "SlotStudyConfig",
-    "run_slot_study",
     "run_slot_cell_spec",
     "summarize_slotsim",
     "format_slotsim_table",
@@ -169,32 +169,23 @@ __all__ = [
     "SinrReplicateMetrics",
     "SinrStudyConfig",
     "run_sinr_study",
-    "sinr_from_environment",
     "summarize_sinr_arm",
     "format_sinr_table",
-    "Fig6Cell",
-    "run_fig6",
-    "format_fig6_table",
-    "Fig7Cell",
-    "run_fig7",
-    "format_fig7_table",
     "MultihopCell",
     "MultihopReplicateMetrics",
     "MultihopStudyConfig",
     "multihop_replicate_topology",
-    "run_multihop",
     "run_multihop_cell_spec",
     "summarize_multihop",
     "format_multihop_table",
     "Table1Entry",
     "table1_entries",
     "format_table1",
-    "CollisionCell",
-    "run_collision_ratio",
-    "format_collision_table",
-    "FairnessCell",
-    "run_fairness",
-    "format_fairness_table",
+    "GRID_STATISTICS",
+    "GridCell",
+    "GridStatistic",
+    "summarize_grid",
+    "format_grid",
     "LoadPoint",
     "MobilityPoint",
     "run_mobility_study",

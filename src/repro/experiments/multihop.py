@@ -21,9 +21,7 @@ telemetry on or off, produce identical artifacts.
 
 from __future__ import annotations
 
-import dataclasses
 import math
-import pathlib
 from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import ClassVar, Sequence
@@ -40,15 +38,9 @@ from ..net.multihop import (
 from ..net.topology import Topology, TopologyConfig, generate_connected_ring_topology
 from ..obs.metrics import MetricsRegistry
 from ..obs.profile import PhaseProfiler
-from .campaign import (
-    CampaignProgress,
-    CellResult,
-    CellSpec,
-    cached_topology,
-    replicate_seed,
-    run_campaign,
-)
-from .config import SimStudyConfig, from_environment
+from .campaign import CellResult, CellSpec, cached_topology, replicate_seed
+from .config import SimStudyConfig
+from .tables import format_grid
 
 __all__ = [
     "MultihopStudyConfig",
@@ -56,8 +48,6 @@ __all__ = [
     "MultihopCell",
     "multihop_replicate_topology",
     "run_multihop_cell_spec",
-    "run_multihop",
-    "multihop_from_environment",
     "summarize_multihop",
     "format_multihop_table",
 ]
@@ -243,7 +233,7 @@ def run_multihop_cell_spec(
 
 
 # ----------------------------------------------------------------------
-# The study driver and its presentation.
+# The summary and its presentation.
 # ----------------------------------------------------------------------
 
 
@@ -280,66 +270,13 @@ def summarize_multihop(cells: Sequence[CellResult]) -> list[MultihopCell]:
     return summary
 
 
-def run_multihop(
-    config: MultihopStudyConfig | None = None,
-    *,
-    workers: int | None = 1,
-    directory: str | pathlib.Path | None = None,
-    progress: CampaignProgress | None = None,
-    telemetry: bool = True,
-) -> list[MultihopCell]:
-    """Run the multi-hop grid as a (resumable, parallelizable) campaign.
-
-    Same execution semantics as the single-hop campaign — with a
-    ``directory`` the run persists/resumes per-cell artifacts
-    (``"kind": "multihop"``) plus telemetry; serial and parallel runs
-    are byte-identical.
-    """
-    cfg = config if config is not None else multihop_from_environment()
-    cells = run_campaign(
-        cfg,
-        workers=workers,
-        directory=directory,
-        progress=progress,
-        telemetry=telemetry,
-    )
-    return summarize_multihop(cells)
-
-
-def multihop_from_environment() -> MultihopStudyConfig:
-    """Environment-sized multi-hop config (same ``REPRO_*`` knobs)."""
-    base = from_environment()
-    return MultihopStudyConfig(**dataclasses.asdict(base))
-
-
 def format_multihop_table(cells: Sequence[MultihopCell]) -> str:
     """Aligned text table grouped by N, one row per beamwidth."""
-    lines = []
-    schemes = sorted({c.scheme for c in cells}, key=str)
-    for n in sorted({c.n for c in cells}):
-        lines.append(
-            f"N = {n}  (end-to-end goodput Mbps / mean delay ms, all flows)"
-        )
-        header = "  beamwidth  " + "  ".join(f"{s:>22}" for s in schemes)
-        lines.append(header)
-        for beamwidth in sorted({c.beamwidth_deg for c in cells if c.n == n}):
-            row = [f"  {beamwidth:7.0f}dg "]
-            for scheme in schemes:
-                match = [
-                    c
-                    for c in cells
-                    if c.n == n
-                    and c.scheme == scheme
-                    and c.beamwidth_deg == beamwidth
-                ]
-                if match:
-                    cell = match[0]
-                    row.append(
-                        f"{cell.goodput_bps.mean / 1e6:7.3f} / "
-                        f"{cell.mean_delay_s.mean * 1e3:8.2f}ms"
-                    )
-                else:
-                    row.append(" " * 22)
-            lines.append("  ".join(row))
-        lines.append("")
-    return "\n".join(lines)
+    return format_grid(
+        cells,
+        "end-to-end goodput Mbps / mean delay ms, all flows",
+        22,
+        lambda c: (
+            f"{c.goodput_bps.mean / 1e6:7.3f} / {c.mean_delay_s.mean * 1e3:8.2f}ms"
+        ),
+    )

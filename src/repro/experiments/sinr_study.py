@@ -37,14 +37,13 @@ from ..metrics.summary import ReplicateSummary, summarize
 from ..net.network import SimulationResult
 from ..phy.reception import PhyConfig
 from .campaign import CampaignProgress, CellResult, ReplicateMetrics, run_campaign
-from .config import SimStudyConfig, from_environment
+from .config import SimStudyConfig
 
 __all__ = [
     "SinrStudyConfig",
     "SinrReplicateMetrics",
     "SinrArmCell",
     "run_sinr_study",
-    "sinr_from_environment",
     "summarize_sinr_arm",
     "format_sinr_table",
 ]
@@ -217,7 +216,7 @@ def summarize_sinr_arm(
 
 
 def run_sinr_study(
-    config: SinrStudyConfig | None = None,
+    config: SinrStudyConfig,
     *,
     capture_db_values: Sequence[float] = (3.0, 10.0),
     workers: int | None = 1,
@@ -233,14 +232,13 @@ def run_sinr_study(
     so every arm resumes independently and no store ever mixes models.
     Returns the concatenated per-arm summaries, baseline first.
     """
-    cfg = config if config is not None else sinr_from_environment()
     base = pathlib.Path(directory) if directory is not None else None
     arms: list[tuple[float | None, SinrStudyConfig]] = [
-        (None, dataclasses.replace(cfg, phy_model="unitdisk"))
+        (None, dataclasses.replace(config, phy_model="unitdisk"))
     ]
     for value in capture_db_values:
         arms.append(
-            (value, dataclasses.replace(cfg, phy_model="sinr",
+            (value, dataclasses.replace(config, phy_model="sinr",
                                         capture_threshold_db=value))
         )
     summary: list[SinrArmCell] = []
@@ -255,12 +253,6 @@ def run_sinr_study(
         )
         summary.extend(summarize_sinr_arm(cells, capture_db))
     return summary
-
-
-def sinr_from_environment() -> SinrStudyConfig:
-    """Environment-sized SINR config (same ``REPRO_*`` knobs)."""
-    base = from_environment()
-    return SinrStudyConfig(**dataclasses.asdict(base))
 
 
 def format_sinr_table(cells: Sequence[SinrArmCell]) -> str:

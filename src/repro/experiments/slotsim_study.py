@@ -18,7 +18,6 @@ though the batch engine is validated as statistically identical (see
 from __future__ import annotations
 
 import math
-import pathlib
 from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import ClassVar, Sequence
@@ -33,14 +32,9 @@ from ..slotsim import (
     SlotModelEngine,
     SlotModelResults,
 )
-from .campaign import (
-    CampaignProgress,
-    CellResult,
-    CellSpec,
-    replicate_seed,
-    run_campaign,
-)
+from .campaign import CellResult, CellSpec, replicate_seed
 from .config import SimStudyConfig
+from .tables import format_grid
 
 __all__ = [
     "SLOT_ENGINES",
@@ -48,7 +42,6 @@ __all__ = [
     "SlotReplicateMetrics",
     "SlotCell",
     "run_slot_cell_spec",
-    "run_slot_study",
     "summarize_slotsim",
     "format_slotsim_table",
 ]
@@ -214,7 +207,7 @@ def run_slot_cell_spec(
 
 
 # ----------------------------------------------------------------------
-# The study driver and its presentation.
+# The summary and its presentation.
 # ----------------------------------------------------------------------
 
 
@@ -253,62 +246,12 @@ def summarize_slotsim(cells: Sequence[CellResult]) -> list[SlotCell]:
     return summary
 
 
-def run_slot_study(
-    config: SlotStudyConfig,
-    *,
-    workers: int | None = 1,
-    directory: str | pathlib.Path | None = None,
-    progress: CampaignProgress | None = None,
-    telemetry: bool = True,
-) -> list[SlotCell]:
-    """Run the slot-model grid as a (resumable, parallelizable) campaign.
-
-    Same execution semantics as the other campaigns: with a
-    ``directory`` the run persists/resumes per-cell artifacts
-    (``"kind": "slotsim"``); serial and parallel runs are
-    byte-identical because every replicate is a pure function of
-    ``(config, n, replicate)``.
-    """
-    cells = run_campaign(
-        config,
-        workers=workers,
-        directory=directory,
-        progress=progress,
-        telemetry=telemetry,
-    )
-    return summarize_slotsim(cells)
-
-
 def format_slotsim_table(cells: Sequence[SlotCell]) -> str:
     """Aligned text table grouped by N, one row per beamwidth."""
-    lines = []
-    schemes = sorted({c.scheme for c in cells}, key=str)
-    engines = sorted({c.engine for c in cells})
-    for n in sorted({c.n for c in cells}):
-        lines.append(
-            f"N = {n}  (throughput per node per slot / success ratio, "
-            f"engine: {', '.join(engines)})"
-        )
-        header = "  beamwidth  " + "  ".join(f"{s:>18}" for s in schemes)
-        lines.append(header)
-        for beamwidth in sorted({c.beamwidth_deg for c in cells if c.n == n}):
-            row = [f"  {beamwidth:7.0f}dg "]
-            for scheme in schemes:
-                match = [
-                    c
-                    for c in cells
-                    if c.n == n
-                    and c.scheme == scheme
-                    and c.beamwidth_deg == beamwidth
-                ]
-                if match:
-                    cell = match[0]
-                    row.append(
-                        f"{cell.throughput_per_node.mean:8.4f} / "
-                        f"{cell.success_ratio.mean:7.4f}"
-                    )
-                else:
-                    row.append(" " * 18)
-            lines.append("  ".join(row))
-        lines.append("")
-    return "\n".join(lines)
+    engines = ", ".join(sorted({c.engine for c in cells}))
+    return format_grid(
+        cells,
+        f"throughput per node per slot / success ratio, engine: {engines}",
+        18,
+        lambda c: f"{c.throughput_per_node.mean:8.4f} / {c.success_ratio.mean:7.4f}",
+    )

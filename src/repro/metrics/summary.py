@@ -40,12 +40,15 @@ def summarize(samples: Sequence[float]) -> ReplicateSummary:
     values = list(samples)
     if not values:
         raise ValueError("cannot summarize zero samples")
-    mean = sum(values) / len(values)
+    minimum, maximum = min(values), max(values)
+    # The float sum can round the mean of equal samples just outside
+    # their range (sum([0.9] * 7) / 7 > 0.9); clamp it back in.
+    mean = min(max(sum(values) / len(values), minimum), maximum)
     variance = sum((v - mean) ** 2 for v in values) / len(values)
     return ReplicateSummary(
         mean=mean,
-        minimum=min(values),
-        maximum=max(values),
+        minimum=minimum,
+        maximum=maximum,
         std=math.sqrt(variance),
         count=len(values),
     )

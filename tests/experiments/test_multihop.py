@@ -11,7 +11,7 @@ from repro.experiments import (
     SimStudyConfig,
     measure_cell,
     normalize_scheme,
-    run_multihop,
+    run_campaign,
     run_multihop_cell_spec,
     summarize_multihop,
 )
@@ -152,16 +152,16 @@ class TestArtifactRoundTrip:
 class TestCampaignIntegration:
     def test_store_resume_is_exact(self, tmp_path):
         cfg = small_config()
-        first = run_multihop(cfg, directory=tmp_path)
+        first = summarize_multihop(run_campaign(cfg, directory=tmp_path))
         artifacts = sorted(p.name for p in tmp_path.glob("cell-*.json"))
         assert artifacts == ["cell-n5-DRTS-OCTS-bw90.json"]
         before = (tmp_path / artifacts[0]).read_bytes()
-        second = run_multihop(cfg, directory=tmp_path)  # all cached
+        second = summarize_multihop(run_campaign(cfg, directory=tmp_path))  # all cached
         assert second == first
         assert (tmp_path / artifacts[0]).read_bytes() == before
 
     def test_summaries(self):
-        cells = run_multihop(small_config())
+        cells = summarize_multihop(run_campaign(small_config()))
         assert len(cells) == 1
         summary = cells[0]
         assert summary.scheme == "DRTS-OCTS"

@@ -9,8 +9,9 @@ from repro.experiments import (
     SlotReplicateMetrics,
     SlotStudyConfig,
     format_slotsim_table,
+    run_campaign,
     run_slot_cell_spec,
-    run_slot_study,
+    summarize_slotsim,
 )
 from repro.experiments.campaign import CellSpec, config_fingerprint
 from repro.experiments.io import cell_from_payload, cell_to_payload
@@ -111,7 +112,7 @@ class TestArtifacts:
 
 class TestStudy:
     def test_serial_run_and_table(self):
-        cells = run_slot_study(tiny_config(), telemetry=False)
+        cells = summarize_slotsim(run_campaign(tiny_config(), telemetry=False))
         assert len(cells) == 1
         assert cells[0].engine == "batch"
         table = format_slotsim_table(cells)
@@ -119,23 +120,23 @@ class TestStudy:
 
     def test_campaign_store_resume(self, tmp_path):
         config = tiny_config()
-        first = run_slot_study(config, directory=tmp_path, telemetry=False)
-        again = run_slot_study(config, directory=tmp_path, telemetry=False)
+        first = run_campaign(config, directory=tmp_path, telemetry=False)
+        again = run_campaign(config, directory=tmp_path, telemetry=False)
         assert first == again
 
     def test_store_refuses_to_mix_engines(self, tmp_path):
         """Fingerprinted artifacts: a directory started with one engine
         rejects the other outright instead of silently mixing cells."""
-        run_slot_study(
+        run_campaign(
             tiny_config(engine="batch"), directory=tmp_path, telemetry=False
         )
         with pytest.raises(ValueError, match="different"):
-            run_slot_study(
+            run_campaign(
                 tiny_config(engine="scalar"), directory=tmp_path, telemetry=False
             )
 
     def test_parallel_equals_serial(self):
         config = tiny_config(n_values=(3,), schemes=("ORTS-OCTS", "DRTS-DCTS"))
-        serial = run_slot_study(config, workers=1, telemetry=False)
-        parallel = run_slot_study(config, workers=2, telemetry=False)
+        serial = run_campaign(config, workers=1, telemetry=False)
+        parallel = run_campaign(config, workers=2, telemetry=False)
         assert serial == parallel

@@ -139,6 +139,18 @@ class TestSummarize:
         with pytest.raises(ValueError):
             summarize([])
 
+    @pytest.mark.parametrize(
+        ("value", "count"),
+        [(0.1, 3), (0.2, 6), (0.7, 8), (0.9, 7), (1.1, 9)],
+    )
+    def test_constant_replicates(self, value, count):
+        """Equal samples whose float mean rounds outside [min, max]
+        summarize to the sample itself instead of raising."""
+        assert sum([value] * count) / count != value
+        s = summarize([value] * count)
+        assert s.mean == s.minimum == s.maximum == value
+        assert s.std == 0.0
+
     def test_validation(self):
         with pytest.raises(ValueError):
             ReplicateSummary(mean=5.0, minimum=1.0, maximum=4.0, std=0.0, count=2)

@@ -6,6 +6,14 @@ import pytest
 
 from repro.cli import build_parser, main
 
+from .golden_tables import CLI_ARGV, CLI_STDOUT
+
+
+def assert_golden_stdout(command, capsys):
+    """The grid subcommand prints exactly its recorded table."""
+    assert main(CLI_ARGV[command]) == 0
+    assert capsys.readouterr().out == CLI_STDOUT[command]
+
 
 class TestParser:
     def test_requires_command(self):
@@ -145,19 +153,7 @@ class TestCommands:
         assert "DRTS-DCTS" in out
 
     def test_fig6_tiny(self, capsys):
-        code = main(
-            [
-                "fig6",
-                "--n-values", "3",
-                "--beamwidths", "90",
-                "--topologies", "1",
-                "--sim-seconds", "0.2",
-            ]
-        )
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "N = 3" in out
-        assert "Mbps" in out
+        assert_golden_stdout("fig6", capsys)
 
     def test_fig6_campaign_resume(self, tmp_path, capsys):
         argv = [
@@ -175,23 +171,7 @@ class TestCommands:
         assert (tmp_path / "camp" / "campaign.json").exists()
 
     def test_multihop_tiny(self, capsys):
-        code = main(
-            [
-                "multihop",
-                "--scheme", "drts_octs",
-                "--beamwidth", "90",
-                "--n-values", "5",
-                "--rings", "2",
-                "--topologies", "1",
-                "--sim-seconds", "0.1",
-                "--seed", "0",
-            ]
-        )
-        out = capsys.readouterr().out
-        assert code == 0, out
-        assert "Multi-hop study" in out
-        assert "DRTS-OCTS" in out
-        assert "Mbps" in out or "/" in out
+        assert_golden_stdout("multihop", capsys)
 
     def test_multihop_campaign_resume(self, tmp_path, capsys):
         argv = [
@@ -212,43 +192,13 @@ class TestCommands:
         assert (tmp_path / "camp" / "campaign.json").exists()
 
     def test_fig7_tiny(self, capsys):
-        code = main(
-            [
-                "fig7",
-                "--n-values", "3",
-                "--beamwidths", "90",
-                "--topologies", "1",
-                "--sim-seconds", "0.2",
-            ]
-        )
-        assert code == 0
-        assert "delay" in capsys.readouterr().out
+        assert_golden_stdout("fig7", capsys)
 
     def test_collision_tiny(self, capsys):
-        code = main(
-            [
-                "collision",
-                "--n-values", "3",
-                "--beamwidths", "90",
-                "--topologies", "1",
-                "--sim-seconds", "0.2",
-            ]
-        )
-        assert code == 0
-        assert "ACK-timeout" in capsys.readouterr().out
+        assert_golden_stdout("collision", capsys)
 
     def test_fairness_tiny(self, capsys):
-        code = main(
-            [
-                "fairness",
-                "--n-values", "3",
-                "--beamwidths", "90",
-                "--topologies", "1",
-                "--sim-seconds", "0.2",
-            ]
-        )
-        assert code == 0
-        assert "Jain" in capsys.readouterr().out
+        assert_golden_stdout("fairness", capsys)
 
     def test_profile_network(self, capsys):
         code = main(
@@ -368,21 +318,7 @@ class TestCommands:
             main(["profile", "--kernel", "slotsim", "--batch", "2"])
 
     def test_slotsim_study_tiny(self, capsys):
-        code = main(
-            [
-                "slotsim",
-                "--n-values", "3",
-                "--beamwidths", "60",
-                "--scheme", "orts_octs",
-                "--topologies", "1",
-                "--slots", "200",
-                "--engine", "batch",
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "batch engine" in out
-        assert "ORTS-OCTS" in out
+        assert_golden_stdout("slotsim", capsys)
 
     def test_slotsim_study_scalar_engine(self, capsys):
         code = main(
