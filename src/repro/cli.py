@@ -18,25 +18,16 @@ import random
 import sys
 from typing import Sequence
 
-from .core import (
-    PAPER_PARAMETERS,
-    SCHEME_FACTORIES,
-    estimate_p_ws,
-    simulate_node_chain,
-)
+# The analytic core (scipy) and the slot model are imported inside the
+# subcommands that run them, so ``--help`` and the simulation
+# subcommands start without them.
 from .dessim.units import seconds
 from .experiments import (
     GRID_STATISTICS,
     SimStudyConfig,
-    format_fig5_table,
-    format_fixed_p_table,
     format_table1,
-    format_tfail_table,
     normalize_scheme,
     run_campaign,
-    run_fig5,
-    run_fixed_p_ablation,
-    run_tfail_ablation,
     summarize_grid,
 )
 from .experiments.config import SCHEMES
@@ -138,6 +129,16 @@ def _campaign_options(args: argparse.Namespace) -> dict:
         "directory": args.campaign_dir,
         "progress": CampaignProgress(),  # per-cell lines + ETA on stderr
     }
+
+
+def _analytic_scheme(args: argparse.Namespace):
+    """The analytic model of ``--scheme`` at ``--n`` and ``--beamwidth``."""
+    from .core import PAPER_PARAMETERS, SCHEME_FACTORIES
+
+    params = PAPER_PARAMETERS.with_neighbors(args.n).with_beamwidth(
+        math.radians(args.beamwidth)
+    )
+    return SCHEME_FACTORIES[args.scheme](params)
 
 
 def _sim_config(args: argparse.Namespace) -> SimStudyConfig:
@@ -331,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="solve the p <-> p0 channel-feedback fixed point",
     )
     p0.add_argument(
-        "--scheme", choices=sorted(SCHEME_FACTORIES), default="ORTS-OCTS"
+        "--scheme", choices=sorted(SCHEMES), default="ORTS-OCTS"
     )
     p0.add_argument("--n", type=float, default=5.0)
     p0.add_argument("--beamwidth", type=float, default=30.0)
@@ -346,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="throughput vs p for one scheme (vectorized; ASCII chart)",
     )
     curve.add_argument(
-        "--scheme", choices=sorted(SCHEME_FACTORIES), default="DRTS-DCTS"
+        "--scheme", choices=sorted(SCHEMES), default="DRTS-DCTS"
     )
     curve.add_argument("--n", type=float, default=5.0)
     curve.add_argument("--beamwidth", type=float, default=30.0)
@@ -373,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="which substrate to profile (default network)",
     )
     profile.add_argument(
-        "--scheme", choices=sorted(SCHEME_FACTORIES), default="ORTS-OCTS"
+        "--scheme", choices=sorted(SCHEMES), default="ORTS-OCTS"
     )
     profile.add_argument("--n", type=int, default=3, help="density N")
     profile.add_argument(
@@ -490,7 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="Monte-Carlo check of the closed-form P_ws and throughput",
     )
     validate.add_argument(
-        "--scheme", choices=sorted(SCHEME_FACTORIES), default="DRTS-DCTS"
+        "--scheme", choices=sorted(SCHEMES), default="DRTS-DCTS"
     )
     validate.add_argument("--n", type=float, default=5.0)
     validate.add_argument("--beamwidth", type=float, default=30.0)
@@ -549,6 +550,7 @@ def _run_profile(args: argparse.Namespace) -> int:
             f"{args.sim_seconds:g}s simulated ({events:,} events)"
         )
     else:
+        from .core import PAPER_PARAMETERS
         from .slotsim import BatchSlotModelEngine, SlotModelConfig, SlotModelEngine
 
         params = PAPER_PARAMETERS.with_neighbors(float(args.n)).with_beamwidth(
@@ -629,6 +631,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.command == "table1":
         print(format_table1())
     elif args.command == "fig5":
+        from .experiments import format_fig5_table, run_fig5
+
         print(f"Fig. 5 (N = {args.n:g}): max throughput vs beamwidth")
         rows = run_fig5(n_neighbors=args.n)
         print(format_fig5_table(rows))
@@ -637,7 +641,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
             series = {
                 scheme: [(r.beamwidth_deg, r.throughput[scheme]) for r in rows]
-                for scheme in sorted(SCHEME_FACTORIES)
+                for scheme in sorted(SCHEMES)
             }
             print()
             print(
@@ -704,6 +708,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         cells = run_campaign(config, **_campaign_options(args))
         print(format_multihop_table(summarize_multihop(cells)))
     elif args.command == "ablation":
+        from .experiments import (
+            format_fixed_p_table,
+            format_tfail_table,
+            run_fixed_p_ablation,
+            run_tfail_ablation,
+        )
+
         print("Fixed p vs optimised p (N=5, theta=30dg):")
         print(format_fixed_p_table(run_fixed_p_ablation()))
         print()
@@ -793,10 +804,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     elif args.command == "p0":
         from .core import attempt_probability
 
-        params = PAPER_PARAMETERS.with_neighbors(args.n).with_beamwidth(
-            math.radians(args.beamwidth)
-        )
-        scheme = SCHEME_FACTORIES[args.scheme](params)
+        scheme = _analytic_scheme(args)
         print(
             f"p = p0 * exp(-N*u(p)) for {args.scheme}, N={args.n:g}, "
             f"theta={args.beamwidth:g}dg"
@@ -816,10 +824,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
         if not 0.0 < args.p_max < 1.0:
             raise SystemExit(f"--p-max must be in (0, 1), got {args.p_max}")
-        params = PAPER_PARAMETERS.with_neighbors(args.n).with_beamwidth(
-            math.radians(args.beamwidth)
-        )
-        scheme = SCHEME_FACTORIES[args.scheme](params)
+        scheme = _analytic_scheme(args)
         grid = np.linspace(args.p_max / args.points, args.p_max, args.points)
         values = throughput_curve(scheme, grid)
         best = int(values.argmax())
@@ -835,6 +840,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             )
         )
     elif args.command == "fidelity":
+        from .core import PAPER_PARAMETERS, SCHEME_FACTORIES
         from .slotsim import SlotModelConfig, SlotModelEngine
 
         print(
@@ -896,10 +902,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     elif args.command == "profile":
         return _run_profile(args)
     elif args.command == "validate":
-        params = PAPER_PARAMETERS.with_neighbors(args.n).with_beamwidth(
-            math.radians(args.beamwidth)
-        )
-        scheme = SCHEME_FACTORIES[args.scheme](params)
+        from .core import estimate_p_ws, simulate_node_chain
+
+        scheme = _analytic_scheme(args)
         estimate = estimate_p_ws(
             scheme, args.p, random.Random(1), samples=args.samples
         )

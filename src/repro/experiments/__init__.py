@@ -20,194 +20,83 @@
 * :mod:`~repro.experiments.sinr_study` — SINR/capture reception study
   sweeping capture threshold against the unit-disk baseline (same
   campaign machinery, ``"sinr"`` cells).
+
+Every name below resolves on first access (PEP 562), importing only
+the submodule that defines it: ``from repro.experiments.campaign import
+run_campaign`` loads the campaign layer without the analytic figures,
+the slot model or their scipy-backed core.
 """
 
-from .campaign import (
-    CampaignProgress,
-    CampaignRunner,
-    CampaignStore,
-    CellResult,
-    CellSpec,
-    ReplicateMetrics,
-    cached_topology,
-    cell_telemetry,
-    config_fingerprint,
-    grid_specs,
-    measure_cell,
-    replicate_seed,
-    replicate_topology,
-    run_campaign,
-    run_cell_spec,
-)
-from .dispatch import (
-    EventLog,
-    ShardReport,
-    ShardRunner,
-    WorkQueue,
-    backoff_seconds,
-    follow_events,
-    read_events,
-    study_tag,
-    watch_campaign,
-)
-from .ablation import (
-    Area3SpanRow,
-    EngineCheckRow,
-    FixedPRow,
-    TFailRow,
-    format_area3_span_table,
-    format_engine_check_table,
-    format_fixed_p_table,
-    format_tfail_table,
-    run_area3_span_ablation,
-    run_engine_ablation,
-    run_fixed_p_ablation,
-    run_tfail_ablation,
-)
-from .baselines import BaselineRow, format_baseline_table, run_baseline_ladder
-from .config import (
-    SimStudyConfig,
-    from_environment,
-    normalize_scheme,
-    workers_from_environment,
-)
-from .extension_schemes import (
-    SchemeComparison,
-    format_scheme_comparison,
-    run_scheme_comparison,
-)
-from .fig5 import (
-    Fig5MeasuredRow,
-    Fig5Row,
-    format_fig5_measured_table,
-    format_fig5_table,
-    run_fig5,
-    run_fig5_measured,
-)
-from .load_sweep import LoadPoint, format_load_sweep_table, run_load_sweep
-from .mobility_study import (
-    MobilityPoint,
-    format_mobility_table,
-    run_mobility_study,
-)
-from .multihop import (
-    MultihopCell,
-    MultihopReplicateMetrics,
-    MultihopStudyConfig,
-    format_multihop_table,
-    multihop_replicate_topology,
-    run_multihop_cell_spec,
-    summarize_multihop,
-)
-from .sinr_study import (
-    SinrArmCell,
-    SinrReplicateMetrics,
-    SinrStudyConfig,
-    format_sinr_table,
-    run_sinr_study,
-    summarize_sinr_arm,
-)
-from .slotsim_study import (
-    SlotCell,
-    SlotReplicateMetrics,
-    SlotStudyConfig,
-    format_slotsim_table,
-    run_slot_cell_spec,
-    summarize_slotsim,
-)
-from .table1 import Table1Entry, format_table1, table1_entries
-from .tables import (
-    GRID_STATISTICS,
-    GridCell,
-    GridStatistic,
-    format_grid,
-    summarize_grid,
-)
+from __future__ import annotations
 
-__all__ = [
-    "SimStudyConfig",
-    "from_environment",
-    "workers_from_environment",
-    "normalize_scheme",
-    "CellResult",
-    "CellSpec",
-    "ReplicateMetrics",
-    "CampaignProgress",
-    "CampaignRunner",
-    "CampaignStore",
-    "EventLog",
-    "ShardReport",
-    "ShardRunner",
-    "WorkQueue",
-    "backoff_seconds",
-    "config_fingerprint",
-    "grid_specs",
-    "follow_events",
-    "read_events",
-    "replicate_seed",
-    "replicate_topology",
-    "cached_topology",
-    "run_campaign",
-    "run_cell_spec",
-    "measure_cell",
-    "study_tag",
-    "watch_campaign",
-    "cell_telemetry",
-    "Fig5Row",
-    "run_fig5",
-    "format_fig5_table",
-    "Fig5MeasuredRow",
-    "run_fig5_measured",
-    "format_fig5_measured_table",
-    "SlotCell",
-    "SlotReplicateMetrics",
-    "SlotStudyConfig",
-    "run_slot_cell_spec",
-    "summarize_slotsim",
-    "format_slotsim_table",
-    "SinrArmCell",
-    "SinrReplicateMetrics",
-    "SinrStudyConfig",
-    "run_sinr_study",
-    "summarize_sinr_arm",
-    "format_sinr_table",
-    "MultihopCell",
-    "MultihopReplicateMetrics",
-    "MultihopStudyConfig",
-    "multihop_replicate_topology",
-    "run_multihop_cell_spec",
-    "summarize_multihop",
-    "format_multihop_table",
-    "Table1Entry",
-    "table1_entries",
-    "format_table1",
-    "GRID_STATISTICS",
-    "GridCell",
-    "GridStatistic",
-    "summarize_grid",
-    "format_grid",
-    "LoadPoint",
-    "MobilityPoint",
-    "run_mobility_study",
-    "format_mobility_table",
-    "run_load_sweep",
-    "format_load_sweep_table",
-    "SchemeComparison",
-    "run_scheme_comparison",
-    "format_scheme_comparison",
-    "FixedPRow",
-    "run_fixed_p_ablation",
-    "TFailRow",
-    "run_tfail_ablation",
-    "Area3SpanRow",
-    "run_area3_span_ablation",
-    "EngineCheckRow",
-    "run_engine_ablation",
-    "format_engine_check_table",
-    "BaselineRow",
-    "run_baseline_ladder",
-    "format_baseline_table",
-    "format_fixed_p_table",
-    "format_tfail_table",
-    "format_area3_span_table",
-]
+import importlib
+from typing import Any
+
+#: Submodule -> the names this package re-exports from it.
+_EXPORTS: dict[str, tuple[str, ...]] = {
+    "config": (
+        "SimStudyConfig", "from_environment", "normalize_scheme",
+        "workers_from_environment",
+    ),
+    "campaign": (
+        "CampaignProgress", "CampaignRunner", "CampaignStore", "CellResult", "CellSpec",
+        "ReplicateMetrics", "cached_topology", "cell_telemetry", "config_fingerprint",
+        "grid_specs", "measure_cell", "replicate_seed", "replicate_topology",
+        "run_campaign", "run_cell_spec",
+    ),
+    "dispatch": (
+        "EventLog", "ShardReport", "ShardRunner", "WorkQueue", "backoff_seconds",
+        "follow_events", "read_events", "study_tag", "watch_campaign",
+    ),
+    "tables": (
+        "GRID_STATISTICS", "GridCell", "GridStatistic", "format_grid", "summarize_grid",
+    ),
+    "fig5": (
+        "Fig5MeasuredRow", "Fig5Row", "format_fig5_measured_table", "format_fig5_table",
+        "run_fig5", "run_fig5_measured",
+    ),
+    "table1": ("Table1Entry", "format_table1", "table1_entries"),
+    "multihop": (
+        "MultihopCell", "MultihopReplicateMetrics", "MultihopStudyConfig",
+        "format_multihop_table", "multihop_replicate_topology",
+        "run_multihop_cell_spec", "summarize_multihop",
+    ),
+    "slotsim_study": (
+        "SlotCell", "SlotReplicateMetrics", "SlotStudyConfig", "format_slotsim_table",
+        "run_slot_cell_spec", "summarize_slotsim",
+    ),
+    "sinr_study": (
+        "SinrArmCell", "SinrReplicateMetrics", "SinrStudyConfig", "format_sinr_table",
+        "run_sinr_study", "summarize_sinr_arm",
+    ),
+    "ablation": (
+        "Area3SpanRow", "EngineCheckRow", "FixedPRow", "TFailRow",
+        "format_area3_span_table", "format_engine_check_table", "format_fixed_p_table",
+        "format_tfail_table", "run_area3_span_ablation", "run_engine_ablation",
+        "run_fixed_p_ablation", "run_tfail_ablation",
+    ),
+    "baselines": ("BaselineRow", "format_baseline_table", "run_baseline_ladder"),
+    "extension_schemes": (
+        "SchemeComparison", "format_scheme_comparison", "run_scheme_comparison",
+    ),
+    "load_sweep": ("LoadPoint", "format_load_sweep_table", "run_load_sweep"),
+    "mobility_study": ("MobilityPoint", "format_mobility_table", "run_mobility_study"),
+}
+
+#: Exported name -> the submodule that defines it.
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name: str) -> Any:
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

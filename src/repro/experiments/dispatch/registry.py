@@ -1,28 +1,33 @@
 """The study table: one :class:`Study` record per campaign family.
 
-Everything study-specific that the execution layers need hangs off the
-config class: :data:`STUDIES` maps each registered config class to its
-manifest ``study`` tag and its cell worker.  The campaign runner and
-:class:`~repro.experiments.dispatch.ShardRunner` take their default
-worker from it (:func:`study_for`), :class:`~repro.experiments.campaign.
-CampaignStore` stamps manifests with its tag (:func:`study_tag`), and a
-CLI-launched worker shard (``repro campaign-worker --store DIR``), which
-knows only the store directory, rebuilds config and worker from the
-manifest through it (:func:`config_from_manifest`).  Adding a study
-means adding one row here.  Manifests written before the tag existed
-are single-hop sims (``"sim"``), matching how their artifacts load.
+Everything study-specific that the execution layers need is one row of
+:data:`STUDIES`, which maps each manifest ``study`` tag to the study's
+config class, cell worker and replicate class.  The campaign
+runner and :class:`~repro.experiments.dispatch.ShardRunner` take their
+default worker from it (:func:`study_for`),
+:class:`~repro.experiments.campaign.CampaignStore` stamps manifests with
+its tag (:func:`study_tag`), :mod:`repro.experiments.io` rebuilds cell
+artifacts through its replicate class, and a CLI-launched worker shard
+(``repro campaign-worker --store DIR``), which knows only the store
+directory, rebuilds config and worker from the manifest through it
+(:func:`config_from_manifest`).  Adding a study means adding one row
+here.  Manifests written before the tag existed are single-hop sims
+(``"sim"``), matching how their artifacts load.
+
+A row names its pieces instead of importing them, and is imported only
+when a config, manifest or artifact of its study turns up
+(:func:`resolve_study`): a single-hop campaign never loads the routing
+layer, the slot model or the analytic core behind the other studies.
 """
 
 from __future__ import annotations
 
+import functools
+import importlib
 from dataclasses import dataclass
 from typing import Callable
 
-from ..campaign import CellResult, config_fingerprint, run_cell_spec
-from ..config import SimStudyConfig
-from ..multihop import MultihopStudyConfig, run_multihop_cell_spec
-from ..sinr_study import SinrStudyConfig
-from ..slotsim_study import SlotStudyConfig, run_slot_cell_spec
+from ..campaign import CellResult, config_fingerprint
 
 __all__ = [
     "STUDIES",
@@ -43,35 +48,85 @@ class Study:
     #: ``(spec, metrics=None, profiler=None) -> CellResult``, a
     #: top-level function so sharded campaigns can pickle it.
     worker: Callable[..., CellResult]
+    #: Rebuilds one stored replicate (``from_record``); its ``kind`` is
+    #: the study's tag.
+    replicate_cls: type
 
 
-#: Config class -> its study.  The SINR study reuses the single-hop
-#: worker: its config supplies the reception model and replicate class.
-STUDIES: dict[type, Study] = {
-    study.config_cls: study
-    for study in (
-        Study("sim", SimStudyConfig, run_cell_spec),
-        Study("multihop", MultihopStudyConfig, run_multihop_cell_spec),
-        Study("slotsim", SlotStudyConfig, run_slot_cell_spec),
-        Study("sinr", SinrStudyConfig, run_cell_spec),
-    )
+#: Manifest ``study`` tag -> its config class, cell worker and replicate
+#: class, each ``"module:name"`` in :mod:`repro.experiments`.  The SINR
+#: study reuses the single-hop worker: its config supplies the reception
+#: model and replicate class.
+STUDIES: dict[str, tuple[str, str, str]] = {
+    "sim": (
+        "config:SimStudyConfig",
+        "campaign:run_cell_spec",
+        "campaign:ReplicateMetrics",
+    ),
+    "multihop": (
+        "multihop:MultihopStudyConfig",
+        "multihop:run_multihop_cell_spec",
+        "multihop:MultihopReplicateMetrics",
+    ),
+    "slotsim": (
+        "slotsim_study:SlotStudyConfig",
+        "slotsim_study:run_slot_cell_spec",
+        "slotsim_study:SlotReplicateMetrics",
+    ),
+    "sinr": (
+        "sinr_study:SinrStudyConfig",
+        "campaign:run_cell_spec",
+        "sinr_study:SinrReplicateMetrics",
+    ),
 }
 
 
-def study_for(config) -> Study:
-    """The registered :class:`Study` for a config instance's class.
+def _qualified(path: str) -> tuple[str, str]:
+    """``(module, name)`` of a ``"module:name"`` entry of :data:`STUDIES`."""
+    module, name = path.split(":")
+    return f"repro.experiments.{module}", name
 
-    Exact class lookup: a subclass of a registered config is a new
+
+@functools.cache
+def resolve_study(tag: str) -> Study:
+    """The registered :class:`Study` for a manifest ``study`` tag."""
+    if tag not in STUDIES:
+        raise ValueError(
+            f"unknown study {tag!r}: this store was built by a study plugged "
+            "in through the Python API; join it with ShardRunner(config=..., "
+            "worker=...) instead of the CLI"
+        )
+    pieces = []
+    for path in STUDIES[tag]:
+        module, name = _qualified(path)
+        pieces.append(getattr(importlib.import_module(module), name))
+    return Study(tag, *pieces)
+
+
+def _registered_tag(config) -> str | None:
+    """The tag whose row names ``config``'s exact class, else ``None``.
+
+    Matched by module and name, so looking a config up imports nothing
+    its class did not; a subclass of a registered config is a new
     study, never silently run by its parent's worker.
     """
-    study = STUDIES.get(type(config))
-    if study is None:
+    cls = type(config)
+    for tag, (config_path, _worker, _replicate) in STUDIES.items():
+        if _qualified(config_path) == (cls.__module__, cls.__qualname__):
+            return tag
+    return None
+
+
+def study_for(config) -> Study:
+    """The registered :class:`Study` for a config instance's class."""
+    tag = _registered_tag(config)
+    if tag is None:
         raise ValueError(
-            f"{type(config).__name__} is not a registered study: add a Study "
-            "row to repro.experiments.dispatch.registry.STUDIES, or pass "
+            f"{type(config).__name__} is not a registered study: add a row "
+            "to repro.experiments.dispatch.registry.STUDIES, or pass "
             "worker= explicitly"
         )
-    return study
+    return resolve_study(tag)
 
 
 def study_tag(config) -> str:
@@ -80,20 +135,7 @@ def study_tag(config) -> str:
     Unregistered classes (run with an explicit ``worker=``) are tagged
     with their class name, which :func:`resolve_study` rejects.
     """
-    study = STUDIES.get(type(config))
-    return type(config).__name__ if study is None else study.tag
-
-
-def resolve_study(tag: str) -> Study:
-    """The registered :class:`Study` for a manifest ``study`` tag."""
-    for study in STUDIES.values():
-        if study.tag == tag:
-            return study
-    raise ValueError(
-        f"unknown study {tag!r}: this store was built by a study plugged "
-        "in through the Python API; join it with ShardRunner(config=..., "
-        "worker=...) instead of the CLI"
-    )
+    return _registered_tag(config) or type(config).__name__
 
 
 def _tuplify(value):

@@ -22,13 +22,13 @@ import csv
 import dataclasses
 import json
 import pathlib
-from typing import Any, Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .campaign import CellResult, ReplicateMetrics
-from .fig5 import Fig5Row
-from .multihop import MultihopReplicateMetrics
-from .sinr_study import SinrReplicateMetrics
-from .slotsim_study import SlotReplicateMetrics
+from .campaign import CellResult
+from .dispatch.registry import resolve_study
+
+if TYPE_CHECKING:  # pragma: no cover - typing only, no runtime dependency
+    from .fig5 import Fig5Row
 
 __all__ = [
     "grid_to_records",
@@ -101,25 +101,13 @@ def save_grid_csv(cells: Sequence[CellResult], path: str | pathlib.Path) -> None
 CELL_FORMAT = "repro-cell-v1"
 
 
-#: Replicate ``kind`` tag -> the class whose ``from_record`` rebuilds it.
-_REPLICATE_CLASSES: dict[str, Any] = {
-    cls.kind: cls
-    for cls in (
-        ReplicateMetrics,
-        MultihopReplicateMetrics,
-        SlotReplicateMetrics,
-        SinrReplicateMetrics,
-    )
-}
-
-
 def cell_to_payload(cell: CellResult) -> dict:
     """The JSON-serializable form of one grid cell.
 
     The single-hop study's cells omit the ``"kind"`` key (so artifacts
     written before the multi-hop subsystem stay loadable unchanged);
-    other replicate classes declare a ``kind`` tag that is stored and
-    dispatched on at load time.
+    other replicate classes declare a ``kind`` tag, their study's tag,
+    that is stored and resolved through the study table at load time.
     """
     kinds = sorted({getattr(r, "kind", "sim") for r in cell.results})
     if len(kinds) > 1:
@@ -142,10 +130,7 @@ def cell_from_payload(payload: dict) -> CellResult:
         raise ValueError(
             f"not a repro cell payload (format={payload.get('format')!r})"
         )
-    kind = payload.get("kind", "sim")
-    if kind not in _REPLICATE_CLASSES:
-        raise ValueError(f"unknown replicate kind {kind!r}")
-    replicate_class = _REPLICATE_CLASSES[kind]
+    replicate_class = resolve_study(payload.get("kind", "sim")).replicate_cls
     return CellResult(
         n=payload["n"],
         scheme=payload["scheme"],

@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from scipy import stats as _scipy_stats
-
 __all__ = ["ConfidenceInterval", "mean_confidence_interval"]
 
 
@@ -65,7 +63,11 @@ def mean_confidence_interval(
         )
     variance = sum((v - mean) ** 2 for v in values) / (n - 1)
     std_error = math.sqrt(variance / n)
-    t_crit = float(_scipy_stats.t.ppf(0.5 + level / 2.0, df=n - 1))
+    # Imported here: scipy.stats is the slowest import in the package,
+    # and nothing on the simulation or campaign path builds an interval.
+    from scipy import stats
+
+    t_crit = float(stats.t.ppf(0.5 + level / 2.0, df=n - 1))
     half = t_crit * std_error
     # Clamp the bounds to the mean: with near-identical samples the
     # half-width underflows, and float rounding in ``mean ± half`` must

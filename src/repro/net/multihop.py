@@ -23,8 +23,6 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-import networkx as nx
-
 from ..dessim.engine import make_simulator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, no runtime dependency
@@ -219,6 +217,8 @@ class MultihopNetworkSimulation:
             self.agents[node_id] = agent
 
         # Flow sources: one per node with at least one far destination.
+        import networkx as nx
+
         graph = topology.connectivity_graph()
         self.sources: dict[int, FlowTrafficSource] = {}
         for node_id in sorted(self.agents):

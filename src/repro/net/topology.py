@@ -21,10 +21,12 @@ import math
 import random
 import warnings
 from dataclasses import dataclass, field
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from ..phy.propagation import Position
+
+if TYPE_CHECKING:  # pragma: no cover - typing only, no runtime dependency
+    import networkx as nx
 
 __all__ = [
     "TopologyConfig",
@@ -96,6 +98,8 @@ class Topology:
 
     def connectivity_graph(self) -> nx.Graph:
         """The unit-disk graph induced by the transmission range."""
+        import networkx as nx
+
         graph = nx.Graph()
         graph.add_nodes_from(self.positions)
         ids = sorted(self.positions)
@@ -195,6 +199,8 @@ def generate_connected_ring_topology(
         TopologyError: propagated from :func:`generate_ring_topology`
             when no admissible placement exists at all.
     """
+    import networkx as nx
+
     if max_resamples < 1:
         raise ValueError(f"max_resamples must be >= 1, got {max_resamples}")
     for _resample in range(max_resamples):

@@ -16,8 +16,6 @@ topology generator (:func:`~repro.net.topology
 
 from __future__ import annotations
 
-import networkx as nx
-
 from .network import NetworkSimulation, SimulationResult
 from .topology import Topology
 
@@ -31,6 +29,8 @@ def connected_components(topology: Topology) -> list[list[int]]:
     member, so the same topology always yields the same list — safe to
     hash into artifacts.
     """
+    import networkx as nx
+
     graph = topology.connectivity_graph()
     components = [sorted(component) for component in nx.connected_components(graph)]
     components.sort(key=lambda component: component[0])

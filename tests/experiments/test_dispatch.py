@@ -30,8 +30,10 @@ from repro.experiments.dispatch import (
 )
 from repro.experiments.dispatch.queue import DEFAULT_LEASE_SECONDS, Lease
 from repro.experiments.dispatch.registry import (
+    STUDIES,
     config_from_manifest,
     resolve_study,
+    study_for,
     study_tag,
 )
 from repro.experiments.dispatch.shard import grid_specs
@@ -575,6 +577,24 @@ class TestStudyRegistry:
     def test_unknown_tag_points_at_python_api(self):
         with pytest.raises(ValueError, match="ShardRunner"):
             resolve_study("custom-study")
+
+    @pytest.mark.parametrize("tag", sorted(STUDIES))
+    def test_row_resolves_to_its_own_tag(self, tag):
+        """Every row's named pieces import, its config class tags back
+        to the row, and its replicates are stored under the same kind."""
+        study = resolve_study(tag)
+        assert study.tag == tag
+        assert study_tag(study.config_cls()) == tag
+        assert study_for(study.config_cls()) is study
+        assert study.replicate_cls.kind == tag
+        assert callable(study.worker)
+
+    def test_unknown_artifact_kind_rejected(self):
+        from repro.experiments.io import cell_from_payload
+
+        payload = {"format": "repro-cell-v1", "kind": "custom-study"}
+        with pytest.raises(ValueError, match="unknown study 'custom-study'"):
+            cell_from_payload(payload)
 
     @pytest.mark.parametrize("tag", ["sim", "multihop", "slotsim", "sinr"])
     def test_manifest_roundtrip(self, tag, tmp_path):

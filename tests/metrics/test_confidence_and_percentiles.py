@@ -64,6 +64,30 @@ class TestMeanConfidenceInterval:
                 hits += 1
         assert 0.90 <= hits / trials <= 0.99
 
+    @pytest.mark.parametrize(
+        "n, level, lower, upper",
+        [
+            (2, 0.9, -4.815587310174252, 6.628087310174252),
+            (2, 0.95, -10.608748042158316, 12.421248042158316),
+            (2, 0.99, -56.782671678852324, 58.595171678852324),
+            (3, 0.9, -0.6322750173993442, 2.423941684066011),
+            (3, 0.95, -1.3558625691637003, 3.1475292358303673),
+            (3, 0.99, -4.298108676886612, 6.089775343553278),
+            (7, 0.9, 0.7776244027387371, 2.2402327401184055),
+            (7, 0.95, 0.5880480668753096, 2.429809075981833),
+            (7, 0.99, 0.11366041525247672, 2.904196727604666),
+            (50, 0.9, 2.4825715420053482, 3.059928457994652),
+            (50, 0.95, 2.425229438838734, 3.1172705611612663),
+            (50, 0.99, 2.3098000036684643, 3.232699996331536),
+        ],
+    )
+    def test_exact_bounds(self, n, level, lower, upper):
+        # Bit-exact bounds, recorded with scipy.stats imported at module
+        # load; the interval must not move when that import moves.
+        samples = [((7 * i) % 11) / 4.0 + i / 16.0 for i in range(n)]
+        ci = mean_confidence_interval(samples, level)
+        assert (ci.lower, ci.upper) == (lower, upper)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             mean_confidence_interval([])

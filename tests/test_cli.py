@@ -24,6 +24,14 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["nope"])
 
+    def test_scheme_choices_are_the_analytic_schemes(self):
+        # The parser names the schemes without importing the analytic
+        # core; the names must still be exactly the core's schemes.
+        from repro.core import SCHEME_FACTORIES
+        from repro.experiments.config import SCHEMES
+
+        assert sorted(SCHEMES) == sorted(SCHEME_FACTORIES)
+
     def test_sim_option_parsing(self):
         args = build_parser().parse_args(
             [
