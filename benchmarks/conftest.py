@@ -7,7 +7,7 @@ the paper, where one simulation campaign produced every Section-4
 number).
 
 Defaults are laptop-sized; scale up toward the paper's campaign with
-the same ``REPRO_*`` variables used by :mod:`repro.experiments.config`:
+``REPRO_*`` variables:
 ``REPRO_TOPOLOGIES=50 REPRO_SIM_SECONDS=10 REPRO_N_VALUES=3,5,8
 REPRO_BEAMWIDTHS_DEG=30,90,150 pytest benchmarks/ --benchmark-only``.
 """

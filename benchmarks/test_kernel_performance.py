@@ -12,7 +12,7 @@ import random
 
 from repro.dessim import Simulator, seconds
 from repro.net import NetworkSimulation, TopologyConfig, generate_ring_topology
-from repro.slotsim import SlotModelConfig, SlotModelEngine
+from repro.slotsim import BatchSlotModelEngine, SlotModelConfig
 from repro.core import PAPER_PARAMETERS
 
 
@@ -159,7 +159,7 @@ def test_mobility_churn_invalidation(benchmark):
                 sim, macs[nid], [(nid + 1) % n], rng.stream(f"traffic{nid}")
             ).start()
         sim.run(until=seconds(0.2))
-        assert channel.cache is not None and channel.cache.move_seq > n
+        assert channel.cache.move_seq > n
         return sim.events_processed
 
     assert benchmark(run) > 1_000
@@ -199,7 +199,7 @@ def test_slotsim_throughput(benchmark):
     )
 
     def run():
-        return SlotModelEngine(config).run(10_000).initiations
+        return BatchSlotModelEngine(config).run(10_000)[0].initiations
 
     assert benchmark(run) > 0
 
@@ -207,15 +207,15 @@ def test_slotsim_throughput(benchmark):
 def test_slotsim_high_load_churn(benchmark):
     """5k slots at saturation-level p: many concurrent handshakes.
 
-    Guards the completion sweep in ``SlotModelEngine._advance`` — the
-    old per-handshake ``list.remove`` made this regime O(active^2) per
-    slot, so a regression shows up here first.
+    Guards the batch engine's checkpoint and completion masks, which
+    do the most work in this regime, so a regression shows up here
+    first.
     """
     config = SlotModelConfig(
         params=PAPER_PARAMETERS.with_neighbors(8.0), p=0.25, seed=7
     )
 
     def run():
-        return SlotModelEngine(config).run(5_000).initiations
+        return BatchSlotModelEngine(config).run(5_000)[0].initiations
 
     assert benchmark(run) > 1_000

@@ -11,7 +11,7 @@ truncated-geometric T_fail turns out optimistic.
 import math
 
 from repro.core import PAPER_PARAMETERS, SCHEME_FACTORIES
-from repro.slotsim import SlotModelConfig, SlotModelEngine
+from repro.slotsim import BatchSlotModelEngine, SlotModelConfig
 
 SCHEMES = ("ORTS-OCTS", "DRTS-DCTS", "DRTS-OCTS")
 P = 0.02
@@ -25,10 +25,10 @@ def run_ladder():
             params = PAPER_PARAMETERS.with_neighbors(3.0).with_beamwidth(
                 math.radians(theta_deg)
             )
-            engine = SlotModelEngine(
+            engine = BatchSlotModelEngine(
                 SlotModelConfig(params=params, scheme=scheme, p=P, seed=5)
             )
-            measured = engine.run(SLOTS)
+            (measured,) = engine.run(SLOTS)
             analytical_scheme = SCHEME_FACTORIES[scheme](params)
             rows.append(
                 {

@@ -15,7 +15,7 @@ from repro.core import PAPER_PARAMETERS
 from repro.dessim import seconds
 from repro.net import NetworkSimulation, TopologyConfig, generate_ring_topology
 from repro.obs import MetricsRegistry
-from repro.slotsim import SlotModelConfig, SlotModelEngine
+from repro.slotsim import BatchSlotModelEngine, SlotModelConfig
 
 SIM_SECONDS = 0.5
 
@@ -53,8 +53,7 @@ def test_slotsim_disabled_vs_missing_registry(benchmark):
     )
 
     def run():
-        return SlotModelEngine(config, metrics=MetricsRegistry(enabled=False)).run(
-            5_000
-        ).initiations
+        engine = BatchSlotModelEngine(config, metrics=MetricsRegistry(enabled=False))
+        return engine.run(5_000)[0].initiations
 
     assert benchmark(run) > 0

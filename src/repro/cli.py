@@ -180,10 +180,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="beamwidths (degrees) measured with --measure (default 30,90,150)",
     )
     fig5.add_argument(
-        "--engine", choices=("scalar", "batch"), default="batch",
-        help="slot-model engine used with --measure (default batch)",
-    )
-    fig5.add_argument(
         "--slots", type=int, default=3_000,
         help="slots per measured replicate (--measure)",
     )
@@ -234,19 +230,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     multihop.add_argument("--ttl", type=int, default=32, help="per-packet hop budget")
 
-    ablation = sub.add_parser(
-        "ablation",
-        help="design-choice ablations (analytical) + slot-engine cross-check",
-    )
-    ablation.add_argument(
-        "--skip-engine-check", action="store_true",
-        help="omit the scalar-vs-batch slot-engine cross-check (simulation)",
-    )
+    sub.add_parser("ablation", help="design-choice ablations (analytical)")
 
     slotsim = sub.add_parser(
         "slotsim",
         help="slot-model Monte-Carlo study over the (N, scheme, beamwidth) "
-        "grid; --engine selects the scalar oracle or the batch engine",
+        "grid on the batch slot engine",
     )
     slotsim.add_argument(
         "--n-values", type=_int_tuple, default=(3, 8),
@@ -267,10 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
     slotsim.add_argument(
         "--torus-factor", type=float, default=6.0,
         help="torus side length in range units (>= 3)",
-    )
-    slotsim.add_argument(
-        "--engine", choices=("scalar", "batch"), default="batch",
-        help="slot-model engine (default batch; scalar is the oracle)",
     )
 
     sinr = sub.add_parser(
@@ -404,12 +389,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-slot transmission probability (slotsim kernel)",
     )
     profile.add_argument(
-        "--engine", choices=("scalar", "batch"), default="scalar",
-        help="slot-model engine (slotsim kernel; default scalar)",
-    )
-    profile.add_argument(
         "--batch", type=int, default=1,
-        help="replicates advanced in lockstep (slotsim kernel, batch engine)",
+        help="replicates advanced in lockstep (slotsim kernel)",
     )
     profile.add_argument(
         "--torus-factor", type=float, default=6.0,
@@ -518,6 +499,8 @@ def _run_profile(args: argparse.Namespace) -> int:
     rates: list[tuple[str, int, str]] = []
     if args.by_callback and args.kernel != "network":
         raise SystemExit("--by-callback requires --kernel network")
+    if args.batch != 1 and args.kernel != "slotsim":
+        raise SystemExit("--batch requires --kernel slotsim")
     if args.kernel == "network":
         from .experiments import replicate_seed, replicate_topology
         from .net.network import NetworkSimulation
@@ -551,7 +534,7 @@ def _run_profile(args: argparse.Namespace) -> int:
         )
     else:
         from .core import PAPER_PARAMETERS
-        from .slotsim import BatchSlotModelEngine, SlotModelConfig, SlotModelEngine
+        from .slotsim import BatchSlotModelEngine, SlotModelConfig
 
         params = PAPER_PARAMETERS.with_neighbors(float(args.n)).with_beamwidth(
             math.radians(args.beamwidth)
@@ -564,22 +547,15 @@ def _run_profile(args: argparse.Namespace) -> int:
             seed=args.seed,
         )
         with profiler.phase("build"):
-            if args.engine == "batch":
-                engine = BatchSlotModelEngine(
-                    config, batch=args.batch, metrics=metrics
-                )
-            else:
-                if args.batch != 1:
-                    raise SystemExit("--batch requires --engine batch")
-                engine = SlotModelEngine(config, metrics=metrics)
+            engine = BatchSlotModelEngine(config, batch=args.batch, metrics=metrics)
         with profiler.phase("event loop"):
             engine.run(args.slots)
-        # The batch engine harvests slots * batch (one count per
-        # replicate-slot), so the rate is comparable across engines.
+        # The engine harvests slots * batch (one count per
+        # replicate-slot), so the rate is comparable across batch sizes.
         slots = int(metrics.counter("slotsim.slots").value)
         rates.append(("slots/sec", slots, "event loop"))
         print(
-            f"profile: slotsim kernel ({args.engine}), N={args.n}, "
+            f"profile: slotsim kernel, N={args.n}, "
             f"{args.scheme}, {args.beamwidth:g}dg, p={args.p:g}, "
             f"{args.slots:,} slots x {args.batch} replicate(s)"
         )
@@ -591,11 +567,7 @@ def _run_profile(args: argparse.Namespace) -> int:
         payload = {
             "format": "repro-profile-v1",
             "kernel": args.kernel,
-            **(
-                {"engine": args.engine}
-                if args.kernel == "slotsim"
-                else {"phy": args.phy}
-            ),
+            **({"phy": args.phy} if args.kernel == "network" else {}),
             "phases": profiler.as_dict(),
             "rates": {
                 name: profiler.rate(count, label) for name, count, label in rates
@@ -658,7 +630,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             print()
             print(
                 f"Slot-model measurement at each optimum "
-                f"({args.engine} engine, {args.replicates} topologies x "
+                f"(batch engine, {args.replicates} topologies x "
                 f"{args.slots:,} slots):"
             )
             print(
@@ -670,7 +642,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                         ),
                         slots=args.slots,
                         replicates=args.replicates,
-                        engine=args.engine,
                         base_seed=args.seed,
                     )
                 )
@@ -720,12 +691,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         print()
         print("DRTS-OCTS T_fail lower bound:")
         print(format_tfail_table(run_tfail_ablation()))
-        if not args.skip_engine_check:
-            from .experiments import format_engine_check_table, run_engine_ablation
-
-            print()
-            print("Slot-engine cross-check (scalar oracle vs vectorized batch):")
-            print(format_engine_check_table(run_engine_ablation()))
     elif args.command == "slotsim":
         from .experiments import (
             SlotStudyConfig,
@@ -742,10 +707,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             p=args.p,
             slots=args.slots,
             torus_factor=args.torus_factor,
-            engine=args.engine,
         )
         print(
-            f"Slot-model study ({args.engine} engine): p={args.p:g}, "
+            f"Slot-model study (batch engine): p={args.p:g}, "
             f"{config.topologies} topologies x {args.slots:,} slots"
         )
         cells = run_campaign(config, **_campaign_options(args))
@@ -841,7 +805,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         )
     elif args.command == "fidelity":
         from .core import PAPER_PARAMETERS, SCHEME_FACTORIES
-        from .slotsim import SlotModelConfig, SlotModelEngine
+        from .slotsim import BatchSlotModelEngine, SlotModelConfig
 
         print(
             f"Model-fidelity ladder (N={args.n:g}, theta={args.beamwidth:g}dg, "
@@ -852,12 +816,12 @@ def main(argv: Sequence[str] | None = None) -> int:
             params = PAPER_PARAMETERS.with_neighbors(args.n).with_beamwidth(
                 math.radians(args.beamwidth)
             )
-            engine = SlotModelEngine(
+            engine = BatchSlotModelEngine(
                 SlotModelConfig(
                     params=params, scheme=scheme_name, p=args.p, seed=args.seed
                 )
             )
-            measured = engine.run(args.slots)
+            (measured,) = engine.run(args.slots)
             analytical = SCHEME_FACTORIES[scheme_name](params)
             print(
                 f"{scheme_name:10s}  {analytical.throughput(args.p):11.4f}  "

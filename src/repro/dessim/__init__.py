@@ -1,24 +1,15 @@
 """A from-scratch discrete-event simulation kernel.
 
 Our stand-in for GloMoSim: an integer-nanosecond clock, a deterministic
-calendar-queue scheduler (:class:`~repro.dessim.engine.Simulator`, with
-the original binary heap kept as the bit-exact
-:class:`~repro.dessim.engine.HeapSimulator` oracle — pick via
-:func:`~repro.dessim.engine.make_simulator` or ``REPRO_SCHEDULER``),
+calendar-queue scheduler (:class:`~repro.dessim.engine.Simulator`; the
+binary heap it replaced is a test oracle under ``tests/dessim``),
 restartable :class:`~repro.dessim.timers.Timer` objects for MAC
 timeouts, named reproducible random streams
 (:class:`~repro.dessim.rng.RngRegistry`) and structured tracing
 (:class:`~repro.dessim.trace.Tracer`).
 """
 
-from .engine import (
-    SCHEDULERS,
-    Event,
-    HeapSimulator,
-    SimulationError,
-    Simulator,
-    make_simulator,
-)
+from .engine import Event, SimulationError, Simulator
 from .process import Process, spawn
 from .rng import RngRegistry
 from .timers import Timer
@@ -39,9 +30,6 @@ __all__ = [
     "Event",
     "SimulationError",
     "Simulator",
-    "HeapSimulator",
-    "make_simulator",
-    "SCHEDULERS",
     "Process",
     "spawn",
     "Timer",

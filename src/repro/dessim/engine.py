@@ -1,37 +1,30 @@
 """The discrete-event simulation engine.
 
-Two interchangeable schedulers live here, bit-exact to each other:
+:class:`Simulator` is a calendar queue keyed by *exact* absolute
+timestamp: a dict of per-timestamp FIFO buckets plus a small int-heap
+of the distinct times.  MAC workloads cluster heavily on slot
+boundaries, so the heap shrinks by the clustering factor and every
+same-time event costs one list append.  FIFO bucket order *is* the
+``(time, seq)`` determinism contract — events scheduled earlier at the
+same timestamp fire first — with no per-event comparison at all.  A
+bucket holding a single event is stored as the event itself (no list),
+which keeps the uncontended case as lean as a heap push.  Cancellation
+is an O(1) tombstone reclaimed when its bucket drains, so cancelled
+timers leave no structure the pop path must wade through, and
+:meth:`Simulator.reschedule` re-links a fired event's own object in
+place, which removes allocation from the MAC's hottest pattern (the
+backoff slot timer re-arming itself).  Anonymous fire-and-forget
+events (:meth:`Simulator.schedule_anon`) recycle through a free-list
+pool.  The dict has an unbounded horizon, so there is no overflow
+wheel and no promotion step for far-future events — a far-future
+timestamp is just another dict key.
 
-:class:`Simulator` (the default, ``scheduler="wheel"``)
-    A calendar queue keyed by *exact* absolute timestamp: a dict of
-    per-timestamp FIFO buckets plus a small int-heap of the distinct
-    times.  MAC workloads cluster heavily on slot boundaries, so the
-    heap shrinks by the clustering factor and every same-time event
-    costs one list append.  FIFO bucket order *is* the ``(time, seq)``
-    determinism contract — events scheduled earlier at the same
-    timestamp fire first — with no per-event comparison at all.  A
-    bucket holding a single event is stored as the event itself (no
-    list), which keeps the uncontended case as lean as a heap push.
-    Cancellation is an O(1) tombstone reclaimed when its bucket drains,
-    so cancelled timers leave no structure the pop path must wade
-    through, and :meth:`Simulator.reschedule` re-links a fired event's
-    own object in place, which removes allocation from the MAC's
-    hottest pattern (the backoff slot timer re-arming itself).
-    Anonymous fire-and-forget events (:meth:`Simulator.schedule_anon`)
-    recycle through a free-list pool.  The dict has an unbounded
-    horizon, so there is no overflow wheel and no promotion step for
-    far-future events — a far-future timestamp is just another dict
-    key.
-
-:class:`HeapSimulator` (``scheduler="heap"``)
-    The original binary heap of ``(time, sequence, Event)`` triples,
-    kept as the equivalence oracle: same seed ⇒ identical event order,
-    identical stats, byte-identical artifacts (pinned by the fuzz suite
-    in ``tests/dessim/test_scheduler_equivalence.py`` and a CI matrix
-    leg).  Cancelled events stay in the heap and are skipped on pop.
-
-Use :func:`make_simulator` to choose by name or by the
-``REPRO_SCHEDULER`` environment variable.
+The binary heap of ``(time, sequence, Event)`` triples this engine
+replaced is kept as a test oracle, ``tests/dessim/heap_simulator.py``:
+same seed ⇒ identical event order, identical stats, byte-identical
+artifacts.  The fuzz suite in ``tests/dessim/test_scheduler_equivalence.py``
+pins that, and the network-cell, campaign-artifact, trace-pin and
+golden-cell-hash tests run under both engines.
 
 Resume note: an event fires exactly once because firing flips its
 state flag, so a re-scan of a partially swept bucket skips consumed
@@ -47,21 +40,13 @@ nodes.
 
 from __future__ import annotations
 
-import os
 from heapq import heappop, heappush
 from typing import TYPE_CHECKING, Any, Callable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, no runtime dependency
     from ..obs.metrics import MetricsRegistry
 
-__all__ = [
-    "Event",
-    "Simulator",
-    "HeapSimulator",
-    "SimulationError",
-    "make_simulator",
-    "SCHEDULERS",
-]
+__all__ = ["Event", "Simulator", "SimulationError"]
 
 
 class SimulationError(RuntimeError):
@@ -148,9 +133,8 @@ class Event:
 class Simulator:
     """A deterministic single-threaded discrete-event scheduler.
 
-    The default calendar-queue ("wheel") engine; see the module
-    docstring for the design and :class:`HeapSimulator` for the
-    bit-exact oracle.
+    The calendar-queue ("wheel") engine; see the module docstring for
+    the design and its test oracle.
 
     Example::
 
@@ -158,8 +142,6 @@ class Simulator:
         sim.schedule(10, print, "fires at t=10ns")
         sim.run()
     """
-
-    scheduler_name = "wheel"
 
     def __init__(self, metrics: "MetricsRegistry | None" = None) -> None:
         self._now: int = 0
@@ -740,164 +722,3 @@ class Simulator:
         metrics.counter("dessim.wheel.event_reuse").inc(
             self._event_reuse - reuse_before
         )
-
-
-class HeapSimulator(Simulator):
-    """The original binary-heap scheduler, kept as the bit-exactness
-    oracle (``scheduler="heap"``).
-
-    Same public API and same observable behavior as :class:`Simulator`
-    — identical ``(time, seq)`` firing order, identical
-    ``pending_events`` accounting, identical validation — implemented
-    as a heap of ``(time, sequence, Event)`` triples where cancelled
-    events stay queued and are skipped on pop.  Not optimized further
-    on purpose: its job is to stay simple and obviously correct.
-    """
-
-    scheduler_name = "heap"
-
-    def __init__(self, metrics: "MetricsRegistry | None" = None) -> None:
-        super().__init__(metrics)
-        self._queue: list[tuple[int, int, Event]] = []
-
-    def schedule(self, delay: int, callback: Callable[..., None], *args: Any) -> Event:
-        if type(delay) is not int:
-            raise SimulationError(
-                f"delay must be an int (ns), got {type(delay).__name__}"
-            )
-        if delay < 0:
-            raise SimulationError(f"cannot schedule into the past: delay={delay}")
-        time = self._now + delay
-        seq = self._seq
-        event = Event(time, seq, callback, args, self)
-        heappush(self._queue, (time, seq, event))
-        self._seq = seq + 1
-        self._pending += 1
-        return event
-
-    def schedule_at(
-        self, time: int, callback: Callable[..., None], *args: Any
-    ) -> Event:
-        if type(time) is not int:
-            raise SimulationError(
-                f"event times must be integers (ns), got {type(time).__name__}"
-            )
-        if time < self._now:
-            raise SimulationError(
-                f"cannot schedule at t={time} before now={self._now}"
-            )
-        seq = self._seq
-        event = Event(time, seq, callback, args, self)
-        heappush(self._queue, (time, seq, event))
-        self._seq = seq + 1
-        self._pending += 1
-        return event
-
-    def reschedule(
-        self,
-        previous: Event | None,
-        delay: int,
-        callback: Callable[..., None],
-        args: tuple[Any, ...],
-    ) -> Event:
-        """Cancel-then-schedule, consuming one sequence number — the
-        exact dance :class:`~repro.dessim.Timer` performed by hand on
-        this engine before the wheel existed."""
-        if previous is not None:
-            previous.cancel()
-        return self.schedule(delay, callback, *args)
-
-    def schedule_anon(
-        self, delay: int, callback: Callable[..., None], *args: Any
-    ) -> None:
-        """Plain schedule without returning the handle (no pooling: the
-        oracle keeps allocation simple and lets garbage collection do
-        its thing)."""
-        self.schedule(delay, callback, *args)
-
-    def step(self) -> bool:
-        if self._running:
-            raise SimulationError("cannot step() while run() is active")
-        queue = self._queue
-        while queue:
-            time, _seq, event = heappop(queue)
-            if event._state != _PENDING:
-                continue
-            event._state = _FIRED
-            self._pending -= 1
-            self._now = time
-            self._events_processed += 1
-            event.callback(*event.args)
-            return True
-        return False
-
-    def run(self, until: int | None = None) -> None:
-        if self._running:
-            raise SimulationError("simulator is not reentrant")
-        if until is not None and until < self._now:
-            raise SimulationError(
-                f"cannot run until t={until} before now={self._now}"
-            )
-        hook = self.dispatch_hook
-        self._running = True
-        processed_before = self._events_processed
-        scheduled_before = self._seq
-        cancelled_before = self._cancelled_total
-        queue = self._queue
-        pop = heappop
-        horizon = until
-        try:
-            while queue:
-                time, _seq, event = queue[0]
-                if horizon is not None and time > horizon:
-                    break
-                pop(queue)
-                if event._state != _PENDING:
-                    continue
-                event._state = _FIRED
-                self._pending -= 1
-                self._now = time
-                self._events_processed += 1
-                if hook is None:
-                    event.callback(*event.args)
-                else:
-                    hook(event)
-            if until is not None:
-                self._now = max(self._now, until)
-        finally:
-            self._running = False
-            if self._metrics is not None:
-                self._harvest(
-                    processed_before,
-                    scheduled_before,
-                    cancelled_before,
-                    self._buckets_created,
-                    self._event_reuse,
-                )
-
-
-#: Scheduler registry for :func:`make_simulator` and the CI matrix.
-SCHEDULERS: dict[str, type[Simulator]] = {
-    "wheel": Simulator,
-    "heap": HeapSimulator,
-}
-
-
-def make_simulator(
-    metrics: "MetricsRegistry | None" = None, scheduler: str | None = None
-) -> Simulator:
-    """Build a scheduler by name.
-
-    Resolution order: explicit ``scheduler`` argument, then the
-    ``REPRO_SCHEDULER`` environment variable (how the CI matrix runs
-    the whole tier-1 suite on both engines), then ``"wheel"``.  Both
-    engines are bit-exact, so the choice never changes results — only
-    speed.
-    """
-    name = scheduler or os.environ.get("REPRO_SCHEDULER") or "wheel"
-    cls = SCHEDULERS.get(name)
-    if cls is None:
-        raise SimulationError(
-            f"unknown scheduler {name!r} (choose one of {sorted(SCHEDULERS)})"
-        )
-    return cls(metrics)

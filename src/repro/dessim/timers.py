@@ -22,8 +22,8 @@ entry point (one call per backoff slot per contending node), so the
 wheel's reschedule body is inlined here rather than called — the
 method *is* ``Simulator.reschedule`` minus one stack frame, with the
 callback write skipped because a timer's callback never changes.  Any
-other engine (the heap oracle, a subclass) goes through its
-``reschedule`` method unchanged.
+other engine (a subclass, such as the heap oracle the tests swap in)
+goes through its ``reschedule`` method unchanged.
 """
 
 from __future__ import annotations

@@ -35,8 +35,7 @@ from typing import Any
 #: Submodule -> the names this package re-exports from it.
 _EXPORTS: dict[str, tuple[str, ...]] = {
     "config": (
-        "SimStudyConfig", "from_environment", "normalize_scheme",
-        "workers_from_environment",
+        "SimStudyConfig", "normalize_scheme", "workers_from_environment",
     ),
     "campaign": (
         "CampaignProgress", "CampaignRunner", "CampaignStore", "CellResult", "CellSpec",
@@ -70,9 +69,8 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
         "run_sinr_study", "summarize_sinr_arm",
     ),
     "ablation": (
-        "Area3SpanRow", "EngineCheckRow", "FixedPRow", "TFailRow",
-        "format_area3_span_table", "format_engine_check_table", "format_fixed_p_table",
-        "format_tfail_table", "run_area3_span_ablation", "run_engine_ablation",
+        "Area3SpanRow", "FixedPRow", "TFailRow", "format_area3_span_table",
+        "format_fixed_p_table", "format_tfail_table", "run_area3_span_ablation",
         "run_fixed_p_ablation", "run_tfail_ablation",
     ),
     "baselines": ("BaselineRow", "format_baseline_table", "run_baseline_ladder"),

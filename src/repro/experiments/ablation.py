@@ -33,12 +33,9 @@ __all__ = [
     "run_tfail_ablation",
     "Area3SpanRow",
     "run_area3_span_ablation",
-    "EngineCheckRow",
-    "run_engine_ablation",
     "format_fixed_p_table",
     "format_tfail_table",
     "format_area3_span_table",
-    "format_engine_check_table",
 ]
 
 
@@ -195,100 +192,6 @@ def format_fixed_p_table(rows: Sequence[FixedPRow]) -> str:
     for row in rows:
         cells = "  ".join(f"{row.fixed[p]:8.4f}" for p in p_values)
         lines.append(f"{row.scheme:10s}  {cells}  {row.optimised:9.4f}")
-    return "\n".join(lines)
-
-
-@dataclass(frozen=True)
-class EngineCheckRow:
-    """Scalar-oracle vs vectorized-batch slot engine on one cell.
-
-    ``oracle_exact`` is the strongest check: the batch engine in its
-    RNG-order-pinned oracle mode produced a *bit-identical* outcome
-    ledger to the scalar engine.  The throughput columns compare the
-    scalar run against the batch engine's own (numpy-stream) draws —
-    independent randomness on the same configuration, so they agree
-    statistically, not exactly.
-    """
-
-    scheme: str
-    p: float
-    oracle_exact: bool
-    scalar_throughput: float
-    batch_throughput: float
-    scalar_success_ratio: float
-    batch_success_ratio: float
-
-
-def run_engine_ablation(
-    n_neighbors: float = 3.0,
-    beamwidth_deg: float = 60.0,
-    p_values: Sequence[float] = (0.02, 0.05),
-    schemes: Sequence[str] | None = None,
-    slots: int = 1_500,
-    seed: int = 2003,
-    batch: int = 4,
-) -> list[EngineCheckRow]:
-    """Cross-check the two slot-model engines (simulation, not analytical).
-
-    For every (scheme, p) cell: run the scalar engine, run the batch
-    engine in oracle mode (must match bit-for-bit), and run a numpy-mode
-    batch averaging ``batch`` replicates on the same geometry.
-    """
-    from ..slotsim import BatchSlotModelEngine, SlotModelConfig, SlotModelEngine
-
-    params = PAPER_PARAMETERS.with_neighbors(n_neighbors).with_beamwidth(
-        math.radians(beamwidth_deg)
-    )
-    names = tuple(schemes) if schemes is not None else tuple(SCHEME_FACTORIES)
-    rows = []
-    for name in names:
-        for p in p_values:
-            config = SlotModelConfig(params=params, scheme=name, p=p, seed=seed)
-            scalar = SlotModelEngine(config).run(slots)
-            oracle = BatchSlotModelEngine(config, rng_mode="oracle").run(slots)[0]
-            exact = (
-                oracle.initiations == scalar.initiations
-                and oracle.successes == scalar.successes
-                and oracle.failures == scalar.failures
-                and oracle.payload_slots == scalar.payload_slots
-                and dict(oracle.fail_durations) == dict(scalar.fail_durations)
-            )
-            replicates = BatchSlotModelEngine(config, batch=batch).run(slots)
-            rows.append(
-                EngineCheckRow(
-                    scheme=name,
-                    p=p,
-                    oracle_exact=exact,
-                    scalar_throughput=scalar.throughput_per_node,
-                    batch_throughput=sum(
-                        r.throughput_per_node for r in replicates
-                    )
-                    / len(replicates),
-                    scalar_success_ratio=scalar.success_ratio,
-                    batch_success_ratio=sum(
-                        r.success_ratio for r in replicates
-                    )
-                    / len(replicates),
-                )
-            )
-    return rows
-
-
-def format_engine_check_table(rows: Sequence[EngineCheckRow]) -> str:
-    """Aligned rendering of the engine cross-check."""
-    header = (
-        f"{'scheme':10}  {'p':>5}  {'oracle':>6}  "
-        f"{'Th(scalar)':>10}  {'Th(batch)':>9}  "
-        f"{'sr(scalar)':>10}  {'sr(batch)':>9}"
-    )
-    lines = [header, "-" * len(header)]
-    for row in rows:
-        lines.append(
-            f"{row.scheme:10}  {row.p:5.3f}  "
-            f"{'exact' if row.oracle_exact else 'MISMATCH':>6}  "
-            f"{row.scalar_throughput:10.4f}  {row.batch_throughput:9.4f}  "
-            f"{row.scalar_success_ratio:10.4f}  {row.batch_success_ratio:9.4f}"
-        )
     return "\n".join(lines)
 
 

@@ -1,25 +1,17 @@
-"""Experiment configuration, overridable from the environment.
+"""Experiment configuration.
 
 The paper averaged 50 random topologies per configuration on a compute
-cluster-class budget; the default here is laptop-sized.  Environment
-variables scale everything back up:
+cluster-class budget; the :class:`SimStudyConfig` defaults are
+laptop-sized, and every field can be raised back toward the paper's
+campaign.  (The benchmark suite reads its grid from ``REPRO_*``
+variables; see ``benchmarks/conftest.py``.)
 
-======================== ======================================= =======
-variable                 meaning                                 default
-======================== ======================================= =======
-``REPRO_TOPOLOGIES``     random topologies per configuration     3
-``REPRO_SIM_SECONDS``    simulated seconds per run               2.0
-``REPRO_N_VALUES``       comma-separated N list                  3,5,8
-``REPRO_BEAMWIDTHS_DEG`` comma-separated beamwidth list          30,90,150
-``REPRO_RETRY_LIMIT``    802.11 retry limit                      7
-``REPRO_CAPTURE``        SNR capture threshold ("none" disables) none
-``REPRO_WORKERS``        parallel campaign worker processes      1
-======================== ======================================= =======
-
-``REPRO_WORKERS`` is deliberately *not* part of
-:class:`SimStudyConfig`: how many processes execute a campaign is an
-execution detail, not part of the experiment's identity, so it never
-enters the campaign-directory fingerprint and cannot change results.
+``REPRO_WORKERS`` (default 1), the number of parallel campaign worker
+processes, is read by :func:`workers_from_environment` and is
+deliberately *not* part of :class:`SimStudyConfig`: how many processes
+execute a campaign is an execution detail, not part of the
+experiment's identity, so it never enters the campaign-directory
+fingerprint and cannot change results.
 """
 
 from __future__ import annotations
@@ -35,7 +27,6 @@ from ..phy.reception import PhyConfig
 
 __all__ = [
     "SimStudyConfig",
-    "from_environment",
     "normalize_scheme",
     "workers_from_environment",
 ]
@@ -118,40 +109,9 @@ class SimStudyConfig:
         return ReplicateMetrics
 
 
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    return default if raw is None else int(raw)
-
-
-def _env_float(name: str, default: float) -> float:
-    raw = os.environ.get(name)
-    return default if raw is None else float(raw)
-
-
-def _env_tuple(name: str, default: tuple, cast) -> tuple:
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    return tuple(cast(part.strip()) for part in raw.split(",") if part.strip())
-
-
-def from_environment() -> SimStudyConfig:
-    """Build the study configuration, honouring ``REPRO_*`` overrides."""
-    capture_raw = os.environ.get("REPRO_CAPTURE", "none").strip().lower()
-    capture = None if capture_raw in ("", "none", "off") else float(capture_raw)
-    return SimStudyConfig(
-        n_values=_env_tuple("REPRO_N_VALUES", (3, 5, 8), int),
-        beamwidths_deg=_env_tuple("REPRO_BEAMWIDTHS_DEG", (30.0, 90.0, 150.0), float),
-        topologies=_env_int("REPRO_TOPOLOGIES", 3),
-        sim_time_ns=seconds(_env_float("REPRO_SIM_SECONDS", 2.0)),
-        retry_limit=_env_int("REPRO_RETRY_LIMIT", 7),
-        capture_threshold=capture,
-    )
-
-
 def workers_from_environment() -> int:
     """Campaign worker-process count from ``REPRO_WORKERS`` (default 1)."""
-    workers = _env_int("REPRO_WORKERS", 1)
+    workers = int(os.environ.get("REPRO_WORKERS", "1"))
     if workers < 1:
         raise ValueError(f"REPRO_WORKERS must be >= 1, got {workers}")
     return workers

@@ -83,7 +83,7 @@ def format_fig5_table(rows: Sequence[Fig5Row]) -> str:
 
 
 # ----------------------------------------------------------------------
-# Measured Fig. 5 — the slot-model engines re-measure the curve.
+# Measured Fig. 5 — the slot-model engine re-measures the curve.
 # ----------------------------------------------------------------------
 
 
@@ -101,7 +101,6 @@ class Fig5MeasuredRow:
     p: float
     analytical: float
     measured: ReplicateSummary
-    engine: str
 
 
 def run_fig5_measured(
@@ -112,28 +111,20 @@ def run_fig5_measured(
     schemes: Sequence[str] | None = None,
     slots: int = 3_000,
     replicates: int = 3,
-    engine: str = "batch",
     torus_factor: float = 6.0,
     base_seed: int = 2003,
 ) -> list[Fig5MeasuredRow]:
-    """Re-measure the Fig. 5 optima with a slot-model engine.
+    """Re-measure the Fig. 5 optima with the batch slot-model engine.
 
     For each (scheme, beamwidth) point the analytical optimum
     ``(p_opt, Th_max)`` is computed as in :func:`run_fig5`, then the
     slot model is run at that ``p_opt`` on ``replicates`` independent
     torus draws (seeded through the campaign registry, common random
-    numbers across schemes).  ``engine`` selects the scalar oracle or
-    the vectorized batch engine (statistically identical; see
-    ``tests/slotsim/test_batch.py``).
+    numbers across schemes).
     """
-    from ..slotsim import BatchSlotModelEngine, SlotModelConfig, SlotModelEngine
+    from ..slotsim import BatchSlotModelEngine, SlotModelConfig
     from .campaign import replicate_seed
-    from .slotsim_study import SLOT_ENGINES
 
-    if engine not in SLOT_ENGINES:
-        raise ValueError(
-            f"unknown engine {engine!r}; expected one of {SLOT_ENGINES}"
-        )
     base = params if params is not None else PAPER_PARAMETERS
     base = base.with_neighbors(n_neighbors)
     widths = tuple(beamwidths) if beamwidths is not None else paper_beamwidths()
@@ -154,10 +145,7 @@ def run_fig5_measured(
             for replicate in range(replicates):
                 seed = replicate_seed(base_seed, int(round(n_neighbors)), replicate)
                 model = dataclasses.replace(config, seed=seed)
-                if engine == "batch":
-                    outcome = BatchSlotModelEngine(model).run(slots)[0]
-                else:
-                    outcome = SlotModelEngine(model).run(slots)
+                (outcome,) = BatchSlotModelEngine(model).run(slots)
                 samples.append(outcome.throughput_per_node)
             rows.append(
                 Fig5MeasuredRow(
@@ -166,7 +154,6 @@ def run_fig5_measured(
                     p=point.p_opt,
                     analytical=point.throughput,
                     measured=summarize(samples),
-                    engine=engine,
                 )
             )
     return rows
@@ -176,13 +163,13 @@ def format_fig5_measured_table(rows: Sequence[Fig5MeasuredRow]) -> str:
     """Aligned analytical-vs-measured table, one row per point."""
     header = (
         f"{'beamwidth':>9}  {'scheme':>10}  {'p_opt':>7}  "
-        f"{'analytical':>10}  {'measured':>9}  {'std':>7}  {'engine':>7}"
+        f"{'analytical':>10}  {'measured':>9}  {'std':>7}"
     )
     lines = [header, "-" * len(header)]
     for row in rows:
         lines.append(
             f"{row.beamwidth_deg:8.0f}d  {row.scheme:>10}  {row.p:7.4f}  "
             f"{row.analytical:10.4f}  {row.measured.mean:9.4f}  "
-            f"{row.measured.std:7.4f}  {row.engine:>7}"
+            f"{row.measured.std:7.4f}"
         )
     return "\n".join(lines)

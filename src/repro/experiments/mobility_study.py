@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from ..dessim.engine import make_simulator
+from ..dessim.engine import Simulator
 from ..dessim.rng import RngRegistry
 from ..dessim.units import SECOND
 from ..mac.config import DSSS_MAC
@@ -58,7 +58,7 @@ def _run_pair(
     sim_time_ns: int,
     seed: int,
 ):
-    sim = make_simulator()
+    sim = Simulator()
     channel = Channel(sim, propagation=UnitDiskPropagation(range_m=300.0))
     rng = RngRegistry(seed)
     radios = {

@@ -1,18 +1,12 @@
-"""Slot-model Monte-Carlo study: the paper grid on the slotsim engines.
+"""Slot-model Monte-Carlo study: the paper grid on the slotsim engine.
 
 Runs the ``(N, scheme, beamwidth)`` grid of the analytical model's
 *simulated world* (:mod:`repro.slotsim`) as a campaign: each cell is
 ``topologies`` independent torus draws, each replicate a pure function
 of ``(config, n, replicate)`` exactly like the 802.11 studies, with
-cell artifacts persisted under ``"kind": "slotsim"``.
-
-The engine is part of the configuration — ``engine="scalar"`` runs the
-oracle :class:`~repro.slotsim.engine.SlotModelEngine`, ``engine="batch"``
-the vectorized :class:`~repro.slotsim.batch.BatchSlotModelEngine` — and
-therefore part of the campaign fingerprint: artifacts produced by the
-two engines can never be silently mixed in one campaign directory, even
-though the batch engine is validated as statistically identical (see
-``tests/slotsim/test_batch.py``).
+cell artifacts persisted under ``"kind": "slotsim"``.  Each replicate
+runs the vectorized :class:`~repro.slotsim.batch.BatchSlotModelEngine`
+with one traffic replicate on its own torus draw.
 """
 
 from __future__ import annotations
@@ -26,18 +20,12 @@ from ..core.params import PAPER_PARAMETERS
 from ..metrics.summary import ReplicateSummary, summarize
 from ..obs.metrics import MetricsRegistry
 from ..obs.profile import PhaseProfiler
-from ..slotsim import (
-    BatchSlotModelEngine,
-    SlotModelConfig,
-    SlotModelEngine,
-    SlotModelResults,
-)
+from ..slotsim import BatchSlotModelEngine, SlotModelConfig, SlotModelResults
 from .campaign import CellResult, CellSpec, replicate_seed
 from .config import SimStudyConfig
 from .tables import format_grid
 
 __all__ = [
-    "SLOT_ENGINES",
     "SlotStudyConfig",
     "SlotReplicateMetrics",
     "SlotCell",
@@ -45,10 +33,6 @@ __all__ = [
     "summarize_slotsim",
     "format_slotsim_table",
 ]
-
-#: Selectable slot-model engines.
-SLOT_ENGINES = ("scalar", "batch")
-
 
 @dataclass(frozen=True)
 class SlotStudyConfig(SimStudyConfig):
@@ -58,9 +42,7 @@ class SlotStudyConfig(SimStudyConfig):
     ``topologies`` and ``base_seed`` from
     :class:`~repro.experiments.config.SimStudyConfig` (the 802.11-only
     fields ``sim_time_ns``/``retry_limit``/``capture_threshold`` ride
-    along unused), so the campaign fingerprint covers every field —
-    including ``engine``, which makes artifacts from the scalar and
-    batch engines distinguishable by construction.
+    along unused), so the campaign fingerprint covers every field.
     """
 
     #: Per-slot handshake-initiation probability of a waiting node.
@@ -69,9 +51,6 @@ class SlotStudyConfig(SimStudyConfig):
     slots: int = 5_000
     #: Torus side length as a multiple of the range ``R``.
     torus_factor: float = 6.0
-    #: Which engine advances the world: ``"scalar"`` (the oracle) or
-    #: ``"batch"`` (vectorized; statistically identical outcomes).
-    engine: str = "batch"
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -83,17 +62,13 @@ class SlotStudyConfig(SimStudyConfig):
             raise ValueError(
                 f"torus_factor must be >= 3, got {self.torus_factor!r}"
             )
-        if self.engine not in SLOT_ENGINES:
-            raise ValueError(
-                f"unknown engine {self.engine!r}; expected one of {SLOT_ENGINES}"
-            )
 
 
 @dataclass(frozen=True)
 class SlotReplicateMetrics:
     """Outcome ledger of one slot-model replicate (JSON-exact).
 
-    Counts are integers (the engines keep the payload ledger
+    Counts are integers (the engine keeps the payload ledger
     integer-exact precisely so these survive JSON round-trips with
     ``==`` semantics); the derived ratios are stored too so summaries
     never need the engine.
@@ -103,7 +78,6 @@ class SlotReplicateMetrics:
 
     replicate: int
     seed: int
-    engine: str
     slots: int
     node_count: int
     mean_degree: float
@@ -118,12 +92,11 @@ class SlotReplicateMetrics:
 
     @classmethod
     def from_results(
-        cls, replicate: int, seed: int, engine: str, results: SlotModelResults
+        cls, replicate: int, seed: int, results: SlotModelResults
     ) -> "SlotReplicateMetrics":
         return cls(
             replicate=replicate,
             seed=seed,
-            engine=engine,
             slots=results.slots,
             node_count=results.node_count,
             mean_degree=results.mean_degree,
@@ -188,16 +161,10 @@ def run_slot_cell_spec(
             seed=seed,
         )
         with profiler.phase("build") if profiler else nullcontext():
-            if cfg.engine == "batch":
-                engine = BatchSlotModelEngine(model, metrics=metrics)
-            else:
-                engine = SlotModelEngine(model, metrics=metrics)
+            engine = BatchSlotModelEngine(model, metrics=metrics)
         with profiler.phase("event loop") if profiler else nullcontext():
-            run = engine.run(cfg.slots)
-        outcome = run[0] if cfg.engine == "batch" else run
-        results.append(
-            SlotReplicateMetrics.from_results(replicate, seed, cfg.engine, outcome)
-        )
+            (outcome,) = engine.run(cfg.slots)
+        results.append(SlotReplicateMetrics.from_results(replicate, seed, outcome))
     return CellResult(
         n=spec.n,
         scheme=spec.scheme,
@@ -218,7 +185,6 @@ class SlotCell:
     n: int
     scheme: str
     beamwidth_deg: float
-    engine: str
     success_ratio: ReplicateSummary
     throughput_per_node: ReplicateSummary
     mean_fail_duration: ReplicateSummary
@@ -233,7 +199,6 @@ def summarize_slotsim(cells: Sequence[CellResult]) -> list[SlotCell]:
                 n=cell.n,
                 scheme=cell.scheme,
                 beamwidth_deg=cell.beamwidth_deg,
-                engine=cell.results[0].engine,
                 success_ratio=summarize(cell.metric("success_ratio")),
                 throughput_per_node=summarize(
                     cell.metric("throughput_per_node")
@@ -248,10 +213,9 @@ def summarize_slotsim(cells: Sequence[CellResult]) -> list[SlotCell]:
 
 def format_slotsim_table(cells: Sequence[SlotCell]) -> str:
     """Aligned text table grouped by N, one row per beamwidth."""
-    engines = ", ".join(sorted({c.engine for c in cells}))
     return format_grid(
         cells,
-        f"throughput per node per slot / success ratio, engine: {engines}",
+        "throughput per node per slot / success ratio, engine: batch",
         18,
         lambda c: f"{c.throughput_per_node.mean:8.4f} / {c.success_ratio.mean:7.4f}",
     )

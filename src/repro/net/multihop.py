@@ -23,7 +23,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from ..dessim.engine import make_simulator
+from ..dessim.engine import Simulator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, no runtime dependency
     from ..obs.metrics import MetricsRegistry
@@ -128,8 +128,6 @@ class MultihopNetworkSimulation:
         ttl: int = 32,
         trace: bool = False,
         metrics: "MetricsRegistry | None" = None,
-        link_cache: bool = True,
-        scheduler: str | None = None,
     ) -> None:
         """Build the network.
 
@@ -147,10 +145,6 @@ class MultihopNetworkSimulation:
             relay_queue: per-node forwarding-queue bound.
             ttl: per-packet hop budget (forwarding-loop guard).
             metrics: optional telemetry registry; purely observational.
-            link_cache: channel fast-path flag, as on
-                :class:`~repro.net.network.NetworkSimulation`.
-            scheduler: event-scheduler choice, as on
-                :class:`~repro.net.network.NetworkSimulation`.
         """
         if scheme not in POLICIES:
             raise KeyError(
@@ -171,7 +165,7 @@ class MultihopNetworkSimulation:
         self.beamwidth = beamwidth
         self.router_name = router
         self.metrics = metrics
-        self.sim = make_simulator(metrics=metrics, scheduler=scheduler)
+        self.sim = Simulator(metrics)
         self.tracer = Tracer(enabled=trace, capacity=None)
         self.rng = RngRegistry(seed)
         phy = phy_params if phy_params is not None else PhyParameters()
@@ -179,7 +173,6 @@ class MultihopNetworkSimulation:
             self.sim,
             phy=phy,
             propagation=UnitDiskPropagation(range_m=topology.config.range_m),
-            link_cache=link_cache,
         )
         policy = POLICIES[scheme]
 

@@ -16,7 +16,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from ..dessim.engine import make_simulator
+from ..dessim.engine import Simulator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, no runtime dependency
     from ..obs.metrics import MetricsRegistry
@@ -103,8 +103,6 @@ class NetworkSimulation:
         cbr_interval_ns: int | None = None,
         trace: bool = False,
         metrics: "MetricsRegistry | None" = None,
-        link_cache: bool = True,
-        scheduler: str | None = None,
         phy_config: PhyConfig | None = None,
     ) -> None:
         """Build the network.
@@ -128,16 +126,6 @@ class NetworkSimulation:
                 channel, and MAC layers harvest their counters into it.
                 Purely observational — attaching one cannot change
                 simulation results.
-            link_cache: ``True`` (default) resolves audibility and
-                neighbor queries through the channel's
-                :class:`~repro.phy.LinkCache` fast path; ``False``
-                keeps the naive O(N) trig scan.  Results are
-                bit-identical either way (the equivalence suite pins
-                this) — the flag exists for that comparison.
-            scheduler: event-scheduler choice (``"wheel"`` or
-                ``"heap"``); ``None`` defers to the ``REPRO_SCHEDULER``
-                environment variable and then the wheel default.  Both
-                engines are bit-exact — the flag trades speed only.
         """
         if scheme not in POLICIES:
             raise KeyError(
@@ -149,7 +137,7 @@ class NetworkSimulation:
         self.scheme = scheme
         self.beamwidth = beamwidth
         self.metrics = metrics
-        self.sim = make_simulator(metrics=metrics, scheduler=scheduler)
+        self.sim = Simulator(metrics)
         self.tracer = Tracer(enabled=trace, capacity=None)
         self.rng = RngRegistry(seed)
         phy = phy_params if phy_params is not None else PhyParameters()
@@ -162,7 +150,6 @@ class NetworkSimulation:
         self.channel = Channel(
             self.sim,
             phy=phy,
-            link_cache=link_cache,
             reception=reception,
         )
         policy = POLICIES[scheme]

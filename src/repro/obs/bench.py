@@ -1,8 +1,8 @@
 """The telemetry benchmark harness behind the CI perf gate.
 
 Runs a small fixed suite over the simulation substrates — the dessim
-event kernel, the slotsim Monte-Carlo loop (scalar and the vectorized
-batch engine at ~10^4 nodes), a saturated network cell,
+event kernel, the slotsim Monte-Carlo loop (one replicate on a small
+torus, and a batch at ~10^4 nodes), a saturated network cell,
 a ~200-node directional cell (the link-cache transmit scan), the same
 cell under SINR/capture reception (the reception-subsystem hot path),
 a mobility-churn case (link-cache invalidation), and a routed
@@ -100,9 +100,9 @@ def _paired_calibration() -> float:
 
 
 def _case_event_kernel(chains: int, depth: int) -> int:
-    from ..dessim import make_simulator
+    from ..dessim import Simulator
 
-    sim = make_simulator()
+    sim = Simulator()
     count = 0
 
     def tick(n: int) -> None:
@@ -129,9 +129,9 @@ def _case_timer_churn(restarts: int) -> int:
     bucket reclamation in the measurement.  Work unit: start
     operations.
     """
-    from ..dessim import Timer, make_simulator
+    from ..dessim import Simulator, Timer
 
-    sim = make_simulator()
+    sim = Simulator()
 
     def ignore() -> None:
         return None
@@ -157,13 +157,15 @@ def _case_timer_churn(restarts: int) -> int:
 
 
 def _case_slotsim(slots: int) -> int:
+    """One replicate of the batch slot engine on the default torus: the
+    per-slot overhead of the array program at small node counts."""
     from ..core import PAPER_PARAMETERS
-    from ..slotsim import SlotModelConfig, SlotModelEngine
+    from ..slotsim import BatchSlotModelEngine, SlotModelConfig
 
     config = SlotModelConfig(
         params=PAPER_PARAMETERS.with_neighbors(3.0), p=0.02, seed=3
     )
-    results = SlotModelEngine(config).run(slots)
+    (results,) = BatchSlotModelEngine(config, batch=1).run(slots)
     assert results.initiations > 0
     return slots
 
@@ -175,7 +177,7 @@ def _case_slotsim_batch(slots: int, batch: int = 2) -> int:
     large enough for ~10^4 nodes, advanced ``batch`` replicates at a
     time by :class:`~repro.slotsim.batch.BatchSlotModelEngine`.  The
     work unit is **node-slots** (``slots * batch * node_count``), not
-    slots: one slot here simulates ~300x the nodes of the scalar case,
+    slots: one slot here simulates ~300x the nodes of ``slotsim_loop``,
     and counting node-slots makes the two scores express the same
     per-node cost.  The case moves when the array program (interference
     bincount, checkpoint masks) regresses.
@@ -312,7 +314,7 @@ def _case_mobility_churn(sim_seconds: float) -> int:
     the link cache to rebuild rows.  This case moves when invalidation
     or rebuild cost regresses, which the static cases cannot see.
     """
-    from ..dessim import make_simulator, seconds
+    from ..dessim import Simulator, seconds
     from ..dessim.rng import RngRegistry
     from ..dessim.units import MILLISECOND
     from ..mac.config import DSSS_MAC
@@ -325,7 +327,7 @@ def _case_mobility_churn(sim_seconds: float) -> int:
     from ..phy.radio import Radio
     from ..traffic.cbr import SaturatedCbrSource
 
-    sim = make_simulator()
+    sim = Simulator()
     channel = Channel(sim, propagation=UnitDiskPropagation(range_m=250.0))
     rng = RngRegistry(13)
     n = 12
@@ -371,8 +373,7 @@ def _case_mobility_churn(sim_seconds: float) -> int:
             sim, macs[nid], [(nid + 1) % n], rng.stream(f"traffic{nid}")
         ).start()
     sim.run(until=seconds(sim_seconds))
-    cache = channel.cache
-    assert cache is not None and cache.move_seq > len(movers)
+    assert channel.cache.move_seq > len(movers)
     assert sim.events_processed > 0
     # Work unit: simulated nanoseconds (see _case_network_cell).
     return sim.now

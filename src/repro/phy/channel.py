@@ -13,11 +13,13 @@ everything else — collision detection, corruption, capture, deafness
 while transmitting — is the receiving radio's reception model's
 business.
 
-Audibility is resolved through a :class:`~repro.phy.linkcache.LinkCache`
-by default — per-pair geometry cached with epoch invalidation and
-sector-indexed per-sender rows — which is bit-identical to the naive
-all-radios trig scan (``link_cache=False`` keeps the naive path for
-equivalence testing).  See ``docs/api.md``, "Channel fast path".
+Audibility is resolved through the channel's
+:class:`~repro.phy.linkcache.LinkCache` — per-pair geometry cached with
+epoch invalidation and sector-indexed per-sender rows — which is
+bit-identical to the naive all-radios trig scan.  That scan is kept as
+a test oracle, ``tests/phy/naive_channel.py``, which
+``tests/phy/test_linkcache.py`` and ``tests/phy/test_fanout_oracle.py``
+compare against.  See ``docs/api.md``, "Channel fast path".
 """
 
 from __future__ import annotations
@@ -105,7 +107,6 @@ class Channel:
         sim: Simulator,
         phy: PhyParameters | None = None,
         propagation: UnitDiskPropagation | None = None,
-        link_cache: bool = True,
         sectors: int = DEFAULT_SECTORS,
         reception: ReceptionModel | None = None,
     ) -> None:
@@ -137,11 +138,7 @@ class Channel:
         self._radios: dict[int, "Radio"] = {}
         self._next_tx_id = 0
         self.stats = ChannelStats()
-        self._cache: LinkCache | None = (
-            LinkCache(reception, self._radios, sectors=sectors)
-            if link_cache
-            else None
-        )
+        self._cache = LinkCache(reception, self._radios, sectors=sectors)
 
     # ------------------------------------------------------------------
 
@@ -150,8 +147,7 @@ class Channel:
         if radio.node_id in self._radios:
             raise ValueError(f"node id {radio.node_id} already attached")
         self._radios[radio.node_id] = radio
-        if self._cache is not None:
-            self._cache.note_attached(radio.node_id)
+        self._cache.note_attached(radio.node_id)
 
     @property
     def radios(self) -> dict[int, "Radio"]:
@@ -159,42 +155,23 @@ class Channel:
         return self._radios
 
     @property
-    def cache(self) -> LinkCache | None:
-        """The link/geometry cache, or ``None`` on the naive path."""
+    def cache(self) -> LinkCache:
+        """The link/geometry cache."""
         return self._cache
 
     def note_moved(self, node_id: int) -> None:
         """A radio's position changed (``Radio.position``'s setter)."""
-        if self._cache is not None:
-            self._cache.note_moved(node_id)
+        self._cache.note_moved(node_id)
 
     def audible_entries(
         self, sender: "Radio", pattern: AntennaPattern
     ) -> list[tuple[int, float, int, float]]:
         """``(node_id, bearing, delay_ns, rx_power)`` per audible radio.
 
-        Attach order, through the link cache when it is on (the
-        returned list may then be cache-owned: treat it as read-only).
+        Attach order, through the link cache (the returned list may be
+        cache-owned: treat it as read-only).
         """
-        if self._cache is not None:
-            return self._cache.audible_entries(sender.node_id, pattern)
-        entries = []
-        link_budget = self.reception.link_budget
-        src = sender.position
-        for node_id, radio in self._radios.items():
-            if node_id == sender.node_id:
-                continue
-            dst = radio.position
-            audible, power = link_budget(sender.node_id, node_id, src, dst)
-            if not audible:
-                continue
-            bearing = src.bearing_to(dst)
-            if not pattern.covers(bearing):
-                continue
-            entries.append(
-                (node_id, bearing, self.propagation.delay(src, dst), power)
-            )
-        return entries
+        return self._cache.audible_entries(sender.node_id, pattern)
 
     def audible_nodes(self, sender: "Radio", pattern: AntennaPattern) -> list[int]:
         """Node ids that would hear a transmission from ``sender``."""
@@ -202,40 +179,20 @@ class Channel:
 
     def neighbors_of(self, node_id: int) -> list[int]:
         """Node ids audible from the given node (omni ground truth)."""
-        if self._cache is not None:
-            return self._cache.neighbors_of(node_id)
-        me = self._radios[node_id]
-        link_budget = self.reception.link_budget
-        return [
-            other_id
-            for other_id, radio in self._radios.items()
-            if other_id != node_id
-            and link_budget(node_id, other_id, me.position, radio.position)[0]
-        ]
+        return self._cache.neighbors_of(node_id)
 
     def position_of(self, node_id: int) -> Position:
         """Ground-truth position of a node (the oracle neighbor protocol)."""
         return self._radios[node_id].position
 
     def link(self, src_id: int, dst_id: int) -> Link:
-        """Pair geometry from ``src_id`` to ``dst_id`` (cached when on).
+        """Pair geometry from ``src_id`` to ``dst_id`` (cached).
 
         One lookup serves range, distance, bearing, delay and power —
         the :class:`~repro.mac.neighbors.NeighborTable` point queries
         resolve through this instead of re-deriving trig per call.
         """
-        if self._cache is not None:
-            return self._cache.link(src_id, dst_id)
-        src = self._radios[src_id].position
-        dst = self._radios[dst_id].position
-        audible, rx_power = self.reception.link_budget(src_id, dst_id, src, dst)
-        return Link(
-            in_range=audible,
-            distance_m=src.distance_to(dst),
-            bearing=src.bearing_to(dst),
-            delay_ns=self.propagation.delay(src, dst),
-            rx_power=rx_power,
-        )
+        return self._cache.link(src_id, dst_id)
 
     # ------------------------------------------------------------------
 

@@ -13,15 +13,13 @@ comparing 2 vs 3 isolates everything 802.11 adds (carrier sense, NAV,
 BEB).
 """
 
-from .batch import BatchGeometry, BatchSlotModelEngine
-from .engine import SlotModelEngine, SlotModelResults
+from .batch import BatchGeometry, BatchSlotModelEngine, SlotModelResults
 from .model import SlotModelConfig, TorusGeometry
 
 __all__ = [
     "BatchGeometry",
     "BatchSlotModelEngine",
     "SlotModelConfig",
-    "SlotModelEngine",
     "SlotModelResults",
     "TorusGeometry",
 ]

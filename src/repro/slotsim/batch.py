@@ -11,29 +11,30 @@ against a precomputed torus coverage tensor
 slot of the whole batch costs a handful of array operations instead of
 a Python loop over nodes and handshakes.
 
-The scalar :class:`~repro.slotsim.engine.SlotModelEngine` stays the
-oracle.  Two equivalence regimes back that claim:
+The scalar engine it replaced, one Python loop over nodes and
+handshakes, is kept as a test oracle (``tests/slotsim/scalar_engine.py``).
+Two equivalence regimes tie the engines together in
+``tests/slotsim/test_batch.py``:
 
 * **Bit-identical** (``rng_mode="oracle"``, ``batch=1``): the engine
   consumes a :class:`random.Random` in exactly the scalar engine's
   order (geometry placement first, then one uniform per free node per
   slot plus one ``choice`` per initiation), so every
-  :class:`~repro.slotsim.engine.SlotModelResults` field — including
-  the integer failure-duration ledger — equals the scalar run's
-  exactly.
+  :class:`SlotModelResults` field — including the integer
+  failure-duration ledger — equals the scalar run's exactly.  This
+  mode exists for that check; no study runs it.
 * **Distributional** (``rng_mode="numpy"``, the default): each replicate
   owns a PCG64 stream at a fixed :class:`~numpy.random.SeedSequence`
   spawn key, consuming exactly ``2 * nodes`` uniforms per slot
   regardless of state.  Outcomes are seed-stable, independent of how a
   sweep is split into batches, and statistically indistinguishable
-  from scalar runs on the same geometry (see
-  ``tests/slotsim/test_batch.py``).
+  from scalar runs on the same geometry.
 
 A batch shares one topology: the engine models ``batch`` traffic
 replicates on a single node placement (the coverage tensor is
 precomputed once per geometry).  Topology replication is expressed as
 multiple engines with different seeds, exactly as the campaign layer
-does for the scalar engine.
+does.
 """
 
 from __future__ import annotations
@@ -41,18 +42,18 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..phy.frames import FrameType
-from .engine import SlotModelResults
 from .model import SlotModelConfig, TorusGeometry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, no runtime dependency
     from ..obs.metrics import MetricsRegistry
 
-__all__ = ["BatchGeometry", "BatchSlotModelEngine"]
+__all__ = ["BatchGeometry", "BatchSlotModelEngine", "SlotModelResults"]
 
 _TWO_PI = 2.0 * math.pi
 
@@ -246,12 +247,52 @@ class BatchGeometry:
         return float(self.deg.sum()) / self.count
 
 
+@dataclass
+class SlotModelResults:
+    """Measured outcomes of one slot-model run."""
+
+    slots: int
+    node_count: int
+    mean_degree: float
+    initiations: int = 0
+    successes: int = 0
+    failures: int = 0
+    #: Delivered payload, in whole slots.  Kept integer-exact (packet
+    #: lengths are integral slot counts) so equivalence checks between
+    #: engines can compare ledgers with ``==`` instead of a tolerance.
+    payload_slots: int = 0
+    fail_durations: Counter = field(default_factory=Counter)
+
+    @property
+    def throughput_per_node(self) -> float:
+        """Delivered payload slots per node per slot — the empirical
+        counterpart of the analytical ``Th``."""
+        if self.slots == 0:
+            return 0.0
+        return self.payload_slots / (self.slots * self.node_count)
+
+    @property
+    def success_ratio(self) -> float:
+        """Completed handshakes over initiated handshakes."""
+        if self.initiations == 0:
+            return 0.0
+        return self.successes / self.initiations
+
+    @property
+    def mean_fail_duration(self) -> float:
+        """Empirical ``T_fail`` (compare the truncated-geometric mean)."""
+        total = sum(self.fail_durations.values())
+        if total == 0:
+            return 0.0
+        return sum(d * c for d, c in self.fail_durations.items()) / total
+
+
 class BatchSlotModelEngine:
     """Runs ``batch`` lockstep replicates of the slotted protocol.
 
     Args:
-        config: the same :class:`SlotModelConfig` the scalar engine
-            takes; ``config.seed`` roots every stream.
+        config: the slot-model configuration; ``config.seed`` roots
+            every stream.
         batch: number of independent traffic replicates advanced in
             lockstep on the shared geometry.
         replicate_offset: index of the first replicate's traffic
@@ -263,12 +304,14 @@ class BatchSlotModelEngine:
             :class:`TorusGeometry` to adopt, or ``None`` to draw a
             placement from the geometry stream.
         metrics: optional registry; harvested once per :meth:`run`
-            with the same ``slotsim.*`` instruments as the scalar
-            engine, summed over the batch.
+            into the ``slotsim.*`` instruments, summed over the batch.
         rng_mode: ``"numpy"`` (default) for per-replicate PCG64
-            streams, or ``"oracle"`` to consume a :class:`random.Random` in the
-            scalar engine's exact draw order (requires ``batch=1``,
-            ``replicate_offset=0``) for bit-identical comparisons.
+            streams, or ``"oracle"``, the test hook: consume a
+            :class:`random.Random` in the scalar test oracle's exact
+            draw order (requires ``batch=1``, ``replicate_offset=0``),
+            so ``tests/slotsim/test_batch.py`` can compare the two
+            engines bit for bit.  No study runs it, but removing it
+            would remove that check.
     """
 
     def __init__(
@@ -388,8 +431,7 @@ class BatchSlotModelEngine:
     def run(self, slots: int) -> list[SlotModelResults]:
         """Advance every replicate ``slots`` slots; one result each.
 
-        Like the scalar engine's :meth:`~SlotModelEngine.run`, every
-        call is a pure function of the configuration: all per-run
+        Every call is a pure function of the configuration: all per-run
         state is local and the RNG streams are re-derived (numpy mode)
         or rewound (oracle mode) on entry.
         """
@@ -606,7 +648,7 @@ class BatchSlotModelEngine:
         """One slot of initiation draws in the scalar engine's order.
 
         Consumes the replayed :class:`random.Random` exactly as
-        :meth:`SlotModelEngine.run` step 1 does — one uniform per
+        the scalar oracle's ``run`` step 1 does — one uniform per
         free node that has neighbors, one ``choice`` per initiation —
         so the stream stays aligned draw for draw.
         """

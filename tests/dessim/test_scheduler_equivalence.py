@@ -1,8 +1,9 @@
 """Wheel-vs-heap bit-exactness: the oracle suite for the calendar queue.
 
-The calendar-queue engine (``scheduler="wheel"``) claims the exact
-``(time, seq)`` determinism contract of the original binary heap
-(``scheduler="heap"``).  These tests hold it to that claim three ways:
+The calendar-queue engine (:class:`repro.dessim.Simulator`, "wheel")
+claims the exact ``(time, seq)`` determinism contract of the original
+binary heap (:class:`~tests.dessim.heap_simulator.HeapSimulator`,
+"heap", a test oracle).  These tests hold it to that claim three ways:
 
 * randomized kernel programs — schedule/cancel/restart/anonymous
   interleavings with heavy equal-timestamp ties, ``run(until)``
@@ -13,6 +14,10 @@ The calendar-queue engine (``scheduler="wheel"``) claims the exact
 * a campaign run under each scheduler must write byte-identical
   result artifacts (timing sidecars are compared modulo host
   wall-clock fields, which legitimately differ between runs).
+
+Network and campaign runs get the heap by patching the network
+module's ``Simulator``; patches do not reach worker processes, so the
+campaign runs serially.
 """
 
 import math
@@ -21,8 +26,11 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dessim import Timer, make_simulator
+import repro.net.network as network_module
+from repro.dessim import Timer
 from repro.dessim.units import seconds
+
+from .heap_simulator import ENGINES
 
 
 def _run_program(engine: str, seed: int, horizons: bool, steps: int) -> list:
@@ -32,7 +40,7 @@ def _run_program(engine: str, seed: int, horizons: bool, steps: int) -> list:
     order, so two engines produce the same trace if and only if they
     fire the same callbacks in the same order at the same times.
     """
-    sim = make_simulator(scheduler=engine)
+    sim = ENGINES[engine]()
     rng = random.Random(seed)
     trace: list = []
     handles: list = []
@@ -119,7 +127,7 @@ class TestKernelPrograms:
         # All at one timestamp: firing order must be schedule order on
         # both engines, interleaved cancellations notwithstanding.
         for engine in ("wheel", "heap"):
-            sim = make_simulator(scheduler=engine)
+            sim = ENGINES[engine]()
             order = []
             handles = [
                 sim.schedule(5, order.append, i) for i in range(20)
@@ -133,7 +141,7 @@ class TestKernelPrograms:
 class TestNetworkEquivalence:
     """A Fig. 6/7-style cell must not care which engine runs it."""
 
-    def _run_cell(self, engine: str, scheme: str):
+    def _run_cell(self, engine: str, scheme: str, monkeypatch):
         from repro.dessim.rng import RngRegistry
         from repro.net import (
             NetworkSimulation,
@@ -143,19 +151,15 @@ class TestNetworkEquivalence:
 
         placement = RngRegistry(41).stream("placement")
         topology = generate_ring_topology(TopologyConfig(n=5), placement)
-        net = NetworkSimulation(
-            topology,
-            scheme,
-            math.pi / 2,
-            seed=7,
-            scheduler=engine,
-        )
+        monkeypatch.setattr(network_module, "Simulator", ENGINES[engine])
+        net = NetworkSimulation(topology, scheme, math.pi / 2, seed=7)
+        assert type(net.sim) is ENGINES[engine]
         return net.run(seconds(0.05)), net.channel.stats
 
-    def test_fig_cell_stats_identical(self):
+    def test_fig_cell_stats_identical(self, monkeypatch):
         for scheme in ("ORTS-OCTS", "DRTS-OCTS"):
-            wheel_result, wheel_channel = self._run_cell("wheel", scheme)
-            heap_result, heap_channel = self._run_cell("heap", scheme)
+            wheel_result, wheel_channel = self._run_cell("wheel", scheme, monkeypatch)
+            heap_result, heap_channel = self._run_cell("heap", scheme, monkeypatch)
             assert wheel_result.stats == heap_result.stats, scheme
             assert wheel_channel == heap_channel, scheme
             assert (
@@ -181,7 +185,7 @@ class TestCampaignArtifacts:
         )
         results = {}
         for engine in ("wheel", "heap"):
-            monkeypatch.setenv("REPRO_SCHEDULER", engine)
+            monkeypatch.setattr(network_module, "Simulator", ENGINES[engine])
             directory = tmp_path / engine
             results[engine] = run_campaign(
                 config, workers=1, directory=directory

@@ -9,7 +9,6 @@ from repro.experiments import (
     CellSpec,
     SimStudyConfig,
     cached_topology,
-    from_environment,
     replicate_topology,
     run_campaign,
     run_cell_spec,
@@ -65,36 +64,6 @@ class TestSimStudyConfig:
         cfg = SimStudyConfig(retry_limit=5, capture_threshold=10.0)
         assert cfg.mac_params.retry_limit == 5
         assert cfg.phy_params.capture_threshold == 10.0
-
-    def test_from_environment_defaults(self, monkeypatch):
-        for var in (
-            "REPRO_TOPOLOGIES",
-            "REPRO_SIM_SECONDS",
-            "REPRO_N_VALUES",
-            "REPRO_BEAMWIDTHS_DEG",
-            "REPRO_RETRY_LIMIT",
-            "REPRO_CAPTURE",
-        ):
-            monkeypatch.delenv(var, raising=False)
-        cfg = from_environment()
-        assert cfg.topologies == 3
-        assert cfg.sim_time_ns == seconds(2)
-        assert cfg.capture_threshold is None
-
-    def test_from_environment_overrides(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TOPOLOGIES", "7")
-        monkeypatch.setenv("REPRO_SIM_SECONDS", "0.5")
-        monkeypatch.setenv("REPRO_N_VALUES", "3,8")
-        monkeypatch.setenv("REPRO_BEAMWIDTHS_DEG", "45")
-        monkeypatch.setenv("REPRO_RETRY_LIMIT", "4")
-        monkeypatch.setenv("REPRO_CAPTURE", "10")
-        cfg = from_environment()
-        assert cfg.topologies == 7
-        assert cfg.sim_time_ns == seconds(0.5)
-        assert cfg.n_values == (3, 8)
-        assert cfg.beamwidths_deg == (45.0,)
-        assert cfg.retry_limit == 4
-        assert cfg.capture_threshold == 10.0
 
 
 def _cell(config, scheme="ORTS-OCTS", beamwidth=30.0):

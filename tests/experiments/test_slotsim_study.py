@@ -1,4 +1,4 @@
-"""Tests for the slot-model campaign study and its engine selection."""
+"""Tests for the slot-model campaign study."""
 
 import dataclasses
 import json
@@ -25,7 +25,6 @@ def tiny_config(**overrides):
         topologies=2,
         p=0.05,
         slots=200,
-        engine="batch",
     )
     options.update(overrides)
     return SlotStudyConfig(**options)
@@ -34,25 +33,18 @@ def tiny_config(**overrides):
 class TestConfigValidation:
     def test_defaults_valid(self):
         config = tiny_config()
-        assert config.engine == "batch"
+        assert (config.p, config.slots) == (0.05, 200)
 
     @pytest.mark.parametrize("overrides", [
         {"p": 0.0},
         {"p": 1.0},
         {"slots": 0},
         {"torus_factor": 2.0},
-        {"engine": "gpu"},
+        {"topologies": 0},
     ])
     def test_rejects_bad_values(self, overrides):
         with pytest.raises(ValueError):
             tiny_config(**overrides)
-
-    def test_engine_changes_fingerprint(self):
-        """The acceptance property: campaign artifacts distinguish
-        engines because the engine is part of the config fingerprint."""
-        batch = config_fingerprint(tiny_config(engine="batch"))
-        scalar = config_fingerprint(tiny_config(engine="scalar"))
-        assert batch != scalar
 
     def test_slot_knobs_change_fingerprint(self):
         base = config_fingerprint(tiny_config())
@@ -81,17 +73,6 @@ class TestWorker:
         spec = CellSpec(3, "ORTS-OCTS", 60.0, tiny_config())
         assert run_slot_cell_spec(spec) == run_slot_cell_spec(spec)
 
-    def test_engines_share_seeds_not_outcomes(self):
-        batch = run_slot_cell_spec(
-            CellSpec(3, "ORTS-OCTS", 60.0, tiny_config(engine="batch"))
-        )
-        scalar = run_slot_cell_spec(
-            CellSpec(3, "ORTS-OCTS", 60.0, tiny_config(engine="scalar"))
-        )
-        for br, sr in zip(batch.results, scalar.results):
-            assert br.seed == sr.seed
-            assert br.engine == "batch" and sr.engine == "scalar"
-
 
 class TestArtifacts:
     def test_payload_round_trip(self):
@@ -114,7 +95,6 @@ class TestStudy:
     def test_serial_run_and_table(self):
         cells = summarize_slotsim(run_campaign(tiny_config(), telemetry=False))
         assert len(cells) == 1
-        assert cells[0].engine == "batch"
         table = format_slotsim_table(cells)
         assert "N = 3" in table and "ORTS-OCTS" in table
 
@@ -123,17 +103,6 @@ class TestStudy:
         first = run_campaign(config, directory=tmp_path, telemetry=False)
         again = run_campaign(config, directory=tmp_path, telemetry=False)
         assert first == again
-
-    def test_store_refuses_to_mix_engines(self, tmp_path):
-        """Fingerprinted artifacts: a directory started with one engine
-        rejects the other outright instead of silently mixing cells."""
-        run_campaign(
-            tiny_config(engine="batch"), directory=tmp_path, telemetry=False
-        )
-        with pytest.raises(ValueError, match="different"):
-            run_campaign(
-                tiny_config(engine="scalar"), directory=tmp_path, telemetry=False
-            )
 
     def test_parallel_equals_serial(self):
         config = tiny_config(n_values=(3,), schemes=("ORTS-OCTS", "DRTS-DCTS"))

@@ -26,7 +26,6 @@ CLI_ARGV = {
     "slotsim": [
         "slotsim", "--n-values", "3", "--beamwidths", "60",
         "--scheme", "orts_octs", "--topologies", "1", "--slots", "200",
-        "--engine", "batch",
     ],
 }
 

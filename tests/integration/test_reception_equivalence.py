@@ -5,7 +5,9 @@ The reception refactor moved the legacy collision logic out of
 UnitDiskReception`.  The pins here were captured on the pre-refactor
 tree: byte-identical campaign artifacts (SHA-256 of the cell JSON) and
 exact simulation metrics, for both capture settings of the legacy
-model.  If any of them moves, the refactor changed physics.
+model.  If any of them moves, the refactor changed physics.  The cell
+hashes are checked under both event schedulers: the calendar queue and
+the heap oracle (``tests/dessim/heap_simulator.py``).
 """
 
 import dataclasses
@@ -14,6 +16,7 @@ import math
 
 import pytest
 
+import repro.net.network as network_module
 from repro.dessim import seconds
 from repro.experiments import (
     SimStudyConfig,
@@ -27,6 +30,8 @@ from repro.experiments.io import load_cell_json
 from repro.experiments.sinr_study import SinrReplicateMetrics
 from repro.net.network import NetworkSimulation
 from repro.phy import PhyConfig, PhyParameters
+
+from ..dessim.heap_simulator import ENGINES
 
 #: SHA-256 of each campaign cell artifact for the pinned grid below,
 #: captured before the reception subsystem existed.
@@ -68,15 +73,21 @@ def run_pinned(capture_threshold):
 
 
 class TestUnitDiskGoldenPins:
-    def test_campaign_artifacts_bit_identical(self, tmp_path):
-        run_campaign(
-            pinned_config(), workers=1, directory=tmp_path, telemetry=False
-        )
-        hashes = {
-            path.name: hashlib.sha256(path.read_bytes()).hexdigest()
-            for path in tmp_path.glob("cell-*.json")
-        }
-        assert hashes == GOLDEN_CELL_HASHES
+    def test_campaign_artifacts_bit_identical(self, tmp_path, monkeypatch):
+        # Serial: the patched scheduler must reach every cell.
+        for engine, simulator in ENGINES.items():
+            monkeypatch.setattr(network_module, "Simulator", simulator)
+            run_campaign(
+                pinned_config(),
+                workers=1,
+                directory=tmp_path / engine,
+                telemetry=False,
+            )
+            hashes = {
+                path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                for path in (tmp_path / engine).glob("cell-*.json")
+            }
+            assert hashes == GOLDEN_CELL_HASHES, engine
 
     def test_no_capture_metrics_exact(self):
         result = run_pinned(None)

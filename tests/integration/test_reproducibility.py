@@ -37,13 +37,13 @@ class TestGridReproducibility:
 
     def test_slotsim_reproducible(self):
         from repro.core import PAPER_PARAMETERS
-        from repro.slotsim import SlotModelConfig, SlotModelEngine
+        from repro.slotsim import BatchSlotModelEngine, SlotModelConfig
 
         config = SlotModelConfig(
             params=PAPER_PARAMETERS.with_neighbors(3.0), p=0.03, seed=17
         )
-        a = SlotModelEngine(config).run(5_000)
-        b = SlotModelEngine(config).run(5_000)
+        (a,) = BatchSlotModelEngine(config).run(5_000)
+        (b,) = BatchSlotModelEngine(config).run(5_000)
         assert a.successes == b.successes
         assert a.fail_durations == b.fail_durations
 

@@ -15,7 +15,7 @@ from repro.experiments import SimStudyConfig
 from repro.experiments.campaign import CellSpec, measure_cell, run_cell_spec
 from repro.experiments.io import cell_to_payload
 from repro.obs import MetricsRegistry, PhaseProfiler
-from repro.slotsim import SlotModelConfig, SlotModelEngine
+from repro.slotsim import BatchSlotModelEngine, SlotModelConfig
 
 
 def _spec() -> CellSpec:
@@ -57,9 +57,9 @@ class TestSlotsimGuard:
         config = SlotModelConfig(
             params=PAPER_PARAMETERS.with_neighbors(3.0), p=0.05, seed=11
         )
-        plain = SlotModelEngine(config).run(2_000)
+        (plain,) = BatchSlotModelEngine(config).run(2_000)
         metrics = MetricsRegistry()
-        observed = SlotModelEngine(config, metrics=metrics).run(2_000)
+        (observed,) = BatchSlotModelEngine(config, metrics=metrics).run(2_000)
         assert plain == observed
         # ... and the harvest actually captured the run.
         snap = metrics.snapshot()

@@ -183,12 +183,12 @@ class TestCallbackProfiler:
         assert "100.0%" in table
 
     def test_hooked_run_matches_plain_run_on_both_engines(self):
-        from repro.dessim import make_simulator
+        from ..dessim.heap_simulator import ENGINES
 
         for engine in ("wheel", "heap"):
             traces = []
             for hooked in (False, True):
-                sim = make_simulator(scheduler=engine)
+                sim = ENGINES[engine]()
                 trace = []
 
                 def chain(n):

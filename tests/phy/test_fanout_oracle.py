@@ -3,8 +3,11 @@
 :meth:`repro.phy.Channel.transmit` schedules one kernel event per
 transmission edge for each run of receivers that share a delay.  The
 fixture below is the fan-out it replaced — one start and one end event
-per audible receiver — kept here as the oracle.  Swapping it in must
-change nothing observable except the kernel's event count.
+per audible receiver — kept here as the oracle.  It runs on the
+:class:`~tests.phy.naive_channel.NaiveChannel` scan, so the oracle
+shares neither the fan-out nor the link cache with the channel under
+test.  Swapping it in must change nothing observable except the
+kernel's event count.
 """
 
 import math
@@ -28,6 +31,7 @@ from repro.phy.channel import Transmission
 from repro.phy.propagation import UnitDiskPropagation
 
 from .conftest import RecordingMac
+from .naive_channel import NaiveChannel
 
 SCHEMES = ("ORTS-OCTS", "DRTS-DCTS", "DRTS-OCTS")
 BEAMWIDTHS_DEG = (30, 90, 150)
@@ -49,30 +53,24 @@ def per_receiver_transmit(self, sender, frame, pattern):
     self.stats.record(frame, airtime)
     radios = self._radios
     schedule = self.sim.schedule_anon
-    if self._cache is not None:
-        for node_id, _bearing, delay, power in self._cache.audible_entries(
-            sender.node_id, pattern
-        ):
-            radio = radios[node_id]
-            schedule(delay, radio.on_signal_start, tx, power)
-            schedule(delay + airtime, radio.on_signal_end, tx)
-        return tx
-    for node_id in self.audible_nodes(sender, pattern):
+    for node_id, _bearing, delay, power in self.audible_entries(sender, pattern):
         radio = radios[node_id]
-        delay = self.propagation.delay(sender.position, radio.position)
-        _, power = self.reception.link_budget(
-            sender.node_id, node_id, sender.position, radio.position
-        )
         schedule(delay, radio.on_signal_start, tx, power)
         schedule(delay + airtime, radio.on_signal_end, tx)
     return tx
+
+
+class PerReceiverChannel(NaiveChannel):
+    """The pre-coalescing, pre-cache channel."""
+
+    transmit = per_receiver_transmit
 
 
 def run_cell(scheme, beamwidth_deg, model, oracle, monkeypatch):
     """One small traced cell: (result, trace records, kernel events)."""
     with monkeypatch.context() as patch:
         if oracle:
-            patch.setattr(Channel, "transmit", per_receiver_transmit)
+            patch.setattr(network_module, "Channel", PerReceiverChannel)
         net = NetworkSimulation(
             replicate_topology(2003, 3, 0),
             scheme,

@@ -1,17 +1,19 @@
 """Equivalence suite: the link-cache fast path vs the naive scan.
 
-The channel's :class:`~repro.phy.LinkCache` is a pure optimisation —
-ISSUE: every query it answers must be bit-identical (same values, same
-order) to the naive O(N) trig scan it replaces, on static topologies
-and under mobility with epoch invalidation.  These tests pin that
-property, plus a full-stack determinism guard: a complete
+The channel's :class:`~repro.phy.LinkCache` is a pure optimisation:
+every query it answers must be bit-identical (same values, same order)
+to the naive O(N) trig scan it replaces, kept here as the
+:class:`~tests.phy.naive_channel.NaiveChannel` oracle, on static
+topologies and under mobility with epoch invalidation.  These tests
+pin that property, plus a full-stack determinism guard: a complete
 :class:`~repro.net.NetworkSimulation` run produces identical results
-with the fast path on and off.
+on the cached and the naive channel.
 """
 
 import math
 import random
 
+import repro.net.network as network_module
 from repro.dessim import RngRegistry, Simulator, seconds
 from repro.net import NetworkSimulation, TopologyConfig, generate_ring_topology
 from repro.phy import (
@@ -27,6 +29,7 @@ from repro.phy import (
 from repro.phy.reception import clear_shadowing_memo, sinr
 
 from .conftest import CountingRegistry
+from .naive_channel import NaiveChannel
 
 RANGE_M = 300.0
 
@@ -34,12 +37,10 @@ RANGE_M = 300.0
 def _paired_worlds(positions, range_m=RANGE_M):
     """Two identical radio fields: one cached channel, one naive."""
     worlds = []
-    for cached in (True, False):
+    for channel_cls in (Channel, NaiveChannel):
         sim = Simulator()
-        channel = Channel(
-            sim,
-            propagation=UnitDiskPropagation(range_m=range_m),
-            link_cache=cached,
+        channel = channel_cls(
+            sim, propagation=UnitDiskPropagation(range_m=range_m)
         )
         radios = [
             Radio(sim, node_id, pos, channel)
@@ -47,8 +48,6 @@ def _paired_worlds(positions, range_m=RANGE_M):
         ]
         worlds.append((channel, radios))
     (cached_channel, cached_radios), (naive_channel, naive_radios) = worlds
-    assert cached_channel.cache is not None
-    assert naive_channel.cache is None
     return cached_channel, cached_radios, naive_channel, naive_radios
 
 
@@ -236,10 +235,8 @@ def test_row_rebuild_budgets_only_the_movers_pairs():
 
     # An inaudible pair stamped by a row fill still answers link() with
     # the naive channel's full record.
-    naive = Channel(
-        Simulator(),
-        propagation=UnitDiskPropagation(range_m=RANGE_M),
-        link_cache=False,
+    naive = NaiveChannel(
+        Simulator(), propagation=UnitDiskPropagation(range_m=RANGE_M)
     )
     for node_id, radio in enumerate(radios):
         Radio(naive.sim, node_id, radio.position, naive)
@@ -272,12 +269,12 @@ def _sinr_fields(positions, registry, sigma):
         shadowing_sigma_db=sigma,
     )
     fields = []
-    for reception, link_cache in (
-        (CountingSinrReception(registry, sigma), True),
-        (naive_reception, False),
+    for reception, channel_cls in (
+        (CountingSinrReception(registry, sigma), Channel),
+        (naive_reception, NaiveChannel),
     ):
         sim = Simulator()
-        channel = Channel(sim, reception=reception, link_cache=link_cache)
+        channel = channel_cls(sim, reception=reception)
         radios = [Radio(sim, i, pos, channel) for i, pos in enumerate(positions)]
         fields.append((channel, radios))
     return fields
@@ -363,11 +360,11 @@ def test_neighbors_of_served_from_cache_not_naive_sweep():
     rng = random.Random(13)
     positions = _random_positions(rng, 10)
     worlds = {}
-    for label, link_cache in (("cached", True), ("naive", False)):
+    for label, channel_cls in (("cached", Channel), ("naive", NaiveChannel)):
         propagation = CountingPropagation(range_m=RANGE_M)
         object.__setattr__(propagation, "label", label)  # frozen dataclass
         sim = Simulator()
-        channel = Channel(sim, propagation=propagation, link_cache=link_cache)
+        channel = channel_cls(sim, propagation=propagation)
         for node_id, pos in enumerate(positions):
             Radio(sim, node_id, pos, channel)
         worlds[label] = channel
@@ -389,24 +386,21 @@ def test_neighbors_of_served_from_cache_not_naive_sweep():
     assert warm_calls <= 10 * 9  # cold build never exceeds the naive cost
 
 
-def test_full_network_run_identical_with_and_without_cache():
+def test_full_network_run_identical_with_and_without_cache(monkeypatch):
     """Determinism guard: the fast path changes nothing observable.
 
     Two complete NetworkSimulation runs over the same topology, scheme,
-    and seed — one with the link cache, one naive — must agree on every
-    MAC counter, the kernel event count, and the derived figures.
+    and seed — one with the link cache, one on the naive channel — must
+    agree on every MAC counter, the kernel event count, and the derived
+    figures.
     """
     topology = generate_ring_topology(TopologyConfig(n=3), random.Random(7))
     results = []
     sims = []
-    for link_cache in (True, False):
-        net = NetworkSimulation(
-            topology,
-            "DRTS-OCTS",
-            math.pi / 3,
-            seed=11,
-            link_cache=link_cache,
-        )
+    for channel_cls in (Channel, NaiveChannel):
+        monkeypatch.setattr(network_module, "Channel", channel_cls)
+        net = NetworkSimulation(topology, "DRTS-OCTS", math.pi / 3, seed=11)
+        assert type(net.channel) is channel_cls
         results.append(net.run(seconds(0.05)))
         sims.append(net.sim)
     fast, slow = results

@@ -6,7 +6,8 @@ order — is hashed and pinned.  The stream orders the PHY and MAC
 reactions to every signal edge, so it catches a reordering that the
 end-of-run counters would average away.  The hashes were captured
 before the signal fan-out was coalesced into one event per
-transmission edge.
+transmission edge.  They hold under both event schedulers: the
+calendar queue and the heap oracle (``tests/dessim/heap_simulator.py``).
 """
 
 import hashlib
@@ -15,11 +16,14 @@ import math
 
 import pytest
 
+import repro.net.network as network_module
 from repro.dessim import seconds
 from repro.dessim.trace import Tracer
 from repro.experiments import replicate_seed, replicate_topology
 from repro.net.network import NetworkSimulation
 from repro.phy import PhyConfig
+
+from ..dessim.heap_simulator import ENGINES
 
 TRACE_HASHES = {
     "unitdisk": (
@@ -56,9 +60,18 @@ def trace_digest(tracer):
     return digest.hexdigest()
 
 
-@pytest.mark.parametrize("model", sorted(TRACE_HASHES))
-def test_trace_stream_pinned(model):
+@pytest.mark.parametrize(
+    "model, engine",
+    [
+        pytest.param(model, engine, id=model if engine == "wheel" else f"{model}-{engine}")
+        for engine in ENGINES
+        for model in sorted(TRACE_HASHES)
+    ],
+)
+def test_trace_stream_pinned(model, engine, monkeypatch):
+    monkeypatch.setattr(network_module, "Simulator", ENGINES[engine])
     net, _ = traced_cell(model)
+    assert type(net.sim) is ENGINES[engine]
     assert len(net.tracer) > 1000
     assert trace_digest(net.tracer) == TRACE_HASHES[model]
 

@@ -1,7 +1,9 @@
 """Scalar-vs-batch equivalence suite for the vectorized slot engine.
 
 Three layers of evidence that :class:`BatchSlotModelEngine` simulates
-the same world as the scalar oracle:
+the same world as the scalar oracle
+(:class:`~tests.slotsim.scalar_engine.SlotModelEngine`, which it
+replaced):
 
 1. **Bit-identical**: in ``rng_mode="oracle"`` the batch engine replays
    the scalar engine's exact RNG stream, so every results field —
@@ -25,9 +27,10 @@ from repro.slotsim import (
     BatchGeometry,
     BatchSlotModelEngine,
     SlotModelConfig,
-    SlotModelEngine,
     TorusGeometry,
 )
+
+from .scalar_engine import SlotModelEngine
 
 
 def make_config(scheme="ORTS-OCTS", n=3.0, theta_deg=60.0, p=0.02, seed=1,
@@ -74,6 +77,17 @@ class TestOracleBitIdentity:
         scalar = SlotModelEngine(config).run(500)
         batch = BatchSlotModelEngine(config, rng_mode="oracle").run(500)
         assert_identical(batch[0], scalar)
+
+    def test_engine_cross_check_grid_bit_identical(self):
+        """Every paper scheme at a light and a moderate load (N=3,
+        60 deg, 1500 slots, seed 2003)."""
+        for scheme in ("ORTS-OCTS", "DRTS-DCTS", "DRTS-OCTS"):
+            for p in (0.02, 0.05):
+                config = make_config(scheme=scheme, p=p, seed=2003)
+                scalar = SlotModelEngine(config).run(1_500)
+                (batch,) = BatchSlotModelEngine(config, rng_mode="oracle").run(1_500)
+                assert scalar.initiations > 0, (scheme, p)
+                assert_identical(batch, scalar)
 
     def test_oracle_on_shared_scalar_geometry(self):
         config = make_config(p=0.05, seed=3)

@@ -6,7 +6,9 @@ import random
 import pytest
 
 from repro.core import PAPER_PARAMETERS
-from repro.slotsim import SlotModelConfig, SlotModelEngine, TorusGeometry
+from repro.slotsim import SlotModelConfig, TorusGeometry
+
+from .scalar_engine import SlotModelEngine
 
 
 def hand_geometry(positions, side=6.0, range_limit=1.0):

@@ -1,4 +1,4 @@
-"""Tests for the slot-model engine."""
+"""Tests for the scalar slot-model engine, the batch engine's test oracle."""
 
 import math
 
@@ -6,7 +6,9 @@ import pytest
 
 from repro.core import PAPER_PARAMETERS
 from repro.core.params import ProtocolParameters
-from repro.slotsim import SlotModelConfig, SlotModelEngine
+from repro.slotsim import SlotModelConfig
+
+from .scalar_engine import SlotModelEngine
 
 
 def run(scheme="ORTS-OCTS", n=3.0, theta_deg=30.0, p=0.02, seed=1, slots=20_000):

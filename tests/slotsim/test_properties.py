@@ -6,7 +6,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core import PAPER_PARAMETERS
 from repro.mac.policy import POLICIES
-from repro.slotsim import SlotModelConfig, SlotModelEngine
+from repro.slotsim import SlotModelConfig
+
+from .scalar_engine import SlotModelEngine
 
 
 @settings(

@@ -307,7 +307,6 @@ class TestCommands:
             [
                 "profile",
                 "--kernel", "slotsim",
-                "--engine", "batch",
                 "--batch", "3",
                 "--slots", "400",
                 "--json", str(report),
@@ -315,33 +314,19 @@ class TestCommands:
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "slotsim kernel (batch)" in out
+        assert "slotsim kernel" in out and "x 3 replicate(s)" in out
         payload = json.loads(report.read_text())
-        assert payload["engine"] == "batch"
         # One slot count per replicate-slot: slots * batch.
         assert payload["counters"]["slotsim.slots"] == 1200
 
     def test_profile_batch_flag_requires_batch_engine(self):
+        # --batch sizes the batch slot engine, which only the slotsim
+        # kernel runs.
         with pytest.raises(SystemExit):
-            main(["profile", "--kernel", "slotsim", "--batch", "2"])
+            main(["profile", "--kernel", "network", "--batch", "2"])
 
     def test_slotsim_study_tiny(self, capsys):
         assert_golden_stdout("slotsim", capsys)
-
-    def test_slotsim_study_scalar_engine(self, capsys):
-        code = main(
-            [
-                "slotsim",
-                "--n-values", "3",
-                "--beamwidths", "60",
-                "--scheme", "orts-octs",
-                "--topologies", "1",
-                "--slots", "150",
-                "--engine", "scalar",
-            ]
-        )
-        assert code == 0
-        assert "scalar engine" in capsys.readouterr().out
 
     def test_fig5_measured(self, capsys):
         code = main(
@@ -356,18 +341,8 @@ class TestCommands:
         assert code == 0
         out = capsys.readouterr().out
         assert "p_opt" in out
-        assert "batch" in out
+        assert "(batch engine, 1 topologies x 300 slots)" in out
 
-    def test_ablation_includes_engine_check(self, capsys):
-        assert main(["ablation"]) == 0
-        out = capsys.readouterr().out
-        assert "cross-check" in out
-        assert "exact" in out
-        assert "MISMATCH" not in out
-
-    def test_ablation_skip_engine_check(self, capsys):
-        assert main(["ablation", "--skip-engine-check"]) == 0
-        assert "cross-check" not in capsys.readouterr().out
 
 
 class TestDispatchCommands:
