@@ -19,7 +19,8 @@
   cells),
 * :mod:`~repro.experiments.sinr_study` — SINR/capture reception study
   sweeping capture threshold against the unit-disk baseline (same
-  campaign machinery, ``"sinr"`` cells).
+  campaign machinery, ``"sinr"`` cells; the baseline arm is a plain
+  ``"sim"`` campaign).
 
 Every name below resolves on first access (PEP 562), importing only
 the submodule that defines it: ``from repro.experiments.campaign import
@@ -38,7 +39,7 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
         "SimStudyConfig", "normalize_scheme", "workers_from_environment",
     ),
     "campaign": (
-        "CampaignProgress", "CampaignRunner", "CampaignStore", "CellResult", "CellSpec",
+        "CampaignProgress", "CampaignStore", "CellResult", "CellSpec",
         "ReplicateMetrics", "cached_topology", "cell_telemetry", "config_fingerprint",
         "grid_specs", "measure_cell", "replicate_seed", "replicate_topology",
         "run_campaign", "run_cell_spec",

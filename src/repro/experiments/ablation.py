@@ -22,7 +22,7 @@ from typing import Sequence
 
 from ..core.drts_octs import DrtsOcts
 from ..core.optimize import maximize_throughput
-from ..core.params import PAPER_PARAMETERS, ProtocolParameters
+from ..core.params import PAPER_PARAMETERS
 from ..core.sweep import SCHEME_FACTORIES
 from ..core.truncgeom import truncated_geometric_mean
 

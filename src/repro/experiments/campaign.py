@@ -4,17 +4,19 @@ A *campaign* is the full ``(N, scheme, beamwidth)`` grid of a
 :class:`~repro.experiments.config.SimStudyConfig`, decomposed into
 self-contained :class:`CellSpec` work units.  Cells are embarrassingly
 parallel — the paper's Section-4 study ran 50 topologies per cell on a
-cluster — so the :class:`CampaignRunner` fans them out, persists one
-JSON artifact per completed cell (so interrupted campaigns resume by
+cluster — so :func:`run_campaign` fans them out, persists one JSON
+artifact per completed cell (so interrupted campaigns resume by
 skipping finished cells), and reports progress with a crude ETA.
 
-Execution itself lives in :mod:`repro.experiments.dispatch`: with more
-than one worker the runner is a single-host facade that launches shard
-processes against the shared store's crash-tolerant work queue, and the
-same store can simultaneously be worked by ``repro campaign-worker``
-shards on other hosts.  This module keeps the substrate those layers
-stand on: seed/topology derivation, the pure cell workers, the atomic
-:class:`CampaignStore`, and progress reporting.
+Execution itself lives in :mod:`repro.experiments.dispatch`:
+:func:`run_campaign` works its store (the given directory, or a
+temporary one) through :class:`~repro.experiments.dispatch.ShardRunner`
+shards — one in-process with a single worker, more in a process pool —
+over the store's crash-tolerant work queue, and the same store can
+simultaneously be worked by ``repro campaign-worker`` shards on other
+hosts.  This module keeps the substrate those layers stand on:
+seed/topology derivation, the pure cell workers, the atomic
+:class:`CampaignStore`, progress reporting, and that one executor.
 
 Seed discipline
 ===============
@@ -31,9 +33,9 @@ identical MAC/traffic draws, so common random numbers across schemes —
 the paper's A/B methodology — stay a design decision, not an accident
 of seed arithmetic.
 
-Determinism contract: serial and parallel execution of the same config
-produce identical per-cell results, because every replicate is a pure
-function of ``(config, n, replicate)``.
+Determinism contract: any number of shards, in or out of process,
+produce byte-identical cell artifacts for the same config, because
+every replicate is a pure function of ``(config, n, replicate)``.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ import math
 import os
 import pathlib
 import sys
-from contextlib import nullcontext
+from contextlib import ExitStack, nullcontext
 from dataclasses import dataclass
 from typing import Callable, ClassVar
 
@@ -77,7 +79,6 @@ __all__ = [
     "config_fingerprint",
     "CampaignStore",
     "CampaignProgress",
-    "CampaignRunner",
     "run_campaign",
 ]
 
@@ -104,9 +105,9 @@ def replicate_topology(
 ) -> Topology:
     """The ring topology for ``(base_seed, N, replicate)``.
 
-    Same derivation the serial runner has always used — a named child
-    registry per ``(N, replicate)`` — exposed as a pure function so
-    worker processes can regenerate topologies without shared state.
+    A named child registry per ``(N, replicate)``, exposed as a pure
+    function so worker processes can regenerate topologies without
+    shared state.
     ``rings`` widens the layout beyond the paper's 3 (e.g. the
     200-node ``n=8, rings=5`` profile/bench configuration) without
     disturbing the rings=3 stream derivation.
@@ -130,8 +131,8 @@ def cached_topology(
     The one topology memo of every study: a derivation such as
     :func:`replicate_topology` is pure and scheme-blind, so each grid
     cell on the same ``(N, replicate)`` — every scheme and beamwidth —
-    reuses one placement instead of regenerating it, in the serial loop
-    and in every shard process alike.  The bound (a few MB of ring
+    reuses one placement instead of regenerating it, in every shard
+    process alike.  The bound (a few MB of ring
     topologies) holds a paper-scale campaign's working set.
     """
     return derive(base_seed, n, replicate, rings)
@@ -240,7 +241,8 @@ def run_cell_spec(
 
     The single-hop worker, shared by the sim and SINR studies: networks
     are built with the config's ``phy_config`` (``None`` is the paper's
-    unit disk) and replicates recorded as its ``replicate_class``.
+    unit disk) and replicates recorded as the ``replicate_cls`` of the
+    config's row in the study table.
 
     Args:
         spec: the cell to run.
@@ -252,14 +254,16 @@ def run_cell_spec(
 
     This is the campaign's worker function: a pure function of ``spec``
     regardless of which process runs it or in what order, which is what
-    makes serial and parallel campaigns byte-identical.  ``metrics``
+    makes campaigns byte-identical whatever their shard count.  ``metrics``
     and ``profiler`` are strictly observational: passing them cannot
     change the returned :class:`CellResult` (the determinism guard in
     ``tests/obs`` asserts this).
     """
+    from .dispatch.registry import study_for  # deferred: registry imports us
+
     cfg = spec.config
     phy_config = cfg.phy_config
-    replicate_class = cfg.replicate_class
+    replicate_cls = study_for(cfg).replicate_cls
     results = []
     for replicate in range(cfg.topologies):
         with profiler.phase("topology gen") if profiler else nullcontext():
@@ -277,7 +281,7 @@ def run_cell_spec(
                 phy_config=phy_config,
             )
         result = simulation.run(cfg.sim_time_ns, profiler=profiler)
-        results.append(replicate_class.from_result(replicate, seed, result))
+        results.append(replicate_cls.from_result(replicate, seed, result))
     return CellResult(
         n=spec.n,
         scheme=spec.scheme,
@@ -345,6 +349,8 @@ class CampaignStore:
         <directory>/campaign.json            # manifest: format + config fingerprint
         <directory>/cell-<key>.json          # one per completed cell
         <directory>/telemetry.jsonl          # repro-telemetry-v1, one line per computed cell
+        <directory>/events.jsonl             # the shards' event stream (dispatch.events)
+        <directory>/leases/                  # in-flight cell claims (dispatch.queue)
 
     The manifest pins the config fingerprint so a directory can only be
     resumed with the exact configuration that started it; cell writes
@@ -462,7 +468,7 @@ class CampaignStore:
         manifest untouched) when no telemetry exists.
 
         This is a read-modify-write of the manifest, so it belongs to
-        whoever *finishes* a campaign — the single-host facade merges
+        whoever *finishes* a campaign — :func:`run_campaign` merges
         once after all its shards exit, and a CLI worker merges after
         its grid-complete run loop returns.  Shards never merge
         mid-sweep.  Concurrent finishers (several CLI workers ending
@@ -506,9 +512,9 @@ def _atomic_write_text(path: pathlib.Path, text: str) -> None:
 class CampaignProgress:
     """Per-cell completion lines with elapsed wall time and a crude ETA.
 
-    Lease-aware: sharded campaigns may report the same cell more than
-    once (a lease expired, the retry and the original both finished)
-    and may report retries that are pure re-queued work.  The rate
+    Lease-aware: a campaign may report the same cell more than once
+    (a lease expired, the retry and the original both finished) and
+    may report retries that are pure re-queued work.  The rate
     estimate divides elapsed time by *unique* completed cells — a
     duplicate completion neither advances the count nor skews the ETA,
     and :meth:`cell_retried` lines are informational only.
@@ -575,228 +581,6 @@ def _echo_stderr(message: str) -> None:
 # ----------------------------------------------------------------------
 
 
-class CampaignRunner:
-    """Executes a study grid: fan-out, persistence, resume, progress.
-
-    With ``workers == 1`` cells run in-process, one after another; with
-    more, this is a thin single-host facade over the dispatch subsystem:
-    worker processes each run a :class:`~repro.experiments.dispatch.
-    ShardRunner` against the shared store (a temporary directory when
-    none was given), leasing cells, streaming events, and surviving
-    each other's crashes.  Either way, results are identical — every
-    cell is a pure function of its :class:`CellSpec`.
-    """
-
-    def __init__(
-        self,
-        config: SimStudyConfig,
-        *,
-        workers: int | None = 1,
-        directory: str | pathlib.Path | None = None,
-        progress: CampaignProgress | None = None,
-        telemetry: bool = True,
-        worker: Callable[..., CellResult] | None = None,
-        lease_seconds: float | None = None,
-        poll_seconds: float = 0.2,
-    ) -> None:
-        """Build the runner.
-
-        Args:
-            worker: cell worker, ``(spec, metrics=None, profiler=None)
-                -> CellResult``; defaults to the worker the study table
-                (:data:`~repro.experiments.dispatch.registry.STUDIES`)
-                registers for the config's class, and an unregistered
-                class without one is a ``ValueError``.  Must be a
-                top-level module function — parallel campaigns pickle
-                it to worker processes.
-            lease_seconds: lease expiry for the sharded (``workers >
-                1``) path; default is the dispatch layer's.  Workers on
-                one healthy host rarely need tuning — the knob exists
-                so crash tests can shrink the takeover window.
-            poll_seconds: shard idle-rescan interval on the sharded
-                path.
-        """
-        if workers is None:
-            workers = workers_from_environment()
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        if lease_seconds is None:
-            from .dispatch.queue import DEFAULT_LEASE_SECONDS
-
-            lease_seconds = DEFAULT_LEASE_SECONDS
-        if worker is None:
-            from .dispatch.registry import study_for
-
-            worker = study_for(config).worker
-        self.config = config
-        self.workers = workers
-        self.lease_seconds = lease_seconds
-        self.poll_seconds = poll_seconds
-        self.store = None if directory is None else CampaignStore(directory, config)
-        self.progress = progress
-        self.telemetry = telemetry
-        self.worker = worker
-        #: Telemetry records of the cells *this* run computed (skipped
-        #: cells re-emit nothing; their lines are already on disk).
-        self.telemetry_records: list[dict] = []
-
-    def specs(self) -> list[CellSpec]:
-        """Every grid cell, in the canonical (N, scheme, beamwidth) order."""
-        return grid_specs(self.config)
-
-    def run(self) -> list[CellResult]:
-        """Run (or resume) the campaign; results follow ``specs()`` order."""
-        specs = self.specs()
-        if self.progress is not None:
-            self.progress.start(len(specs))
-        results: dict[CellSpec, CellResult] = {}
-        pending: list[CellSpec] = []
-        for spec in specs:
-            cached = None if self.store is None else self.store.load(spec)
-            if cached is not None:
-                results[spec] = cached
-                if self.progress is not None:
-                    self.progress.cell_done(spec, skipped=True)
-            else:
-                pending.append(spec)
-        if self.workers == 1 or len(pending) <= 1:
-            for spec in pending:
-                if self.telemetry:
-                    cell, record = measure_cell(self.worker, spec)
-                else:
-                    cell, record = self.worker(spec), None
-                self._finish(spec, cell, results, record)
-        else:
-            self._run_sharded(pending, results)
-        if self.store is not None and self.telemetry:
-            self.store.merge_telemetry_summary()
-        return [results[spec] for spec in specs]
-
-    def _run_sharded(
-        self, pending: list[CellSpec], results: dict[CellSpec, CellResult]
-    ) -> None:
-        """Fan pending cells out to shard processes over a shared store.
-
-        Each pool worker is a full :class:`~repro.experiments.dispatch.
-        ShardRunner` leasing cells from the (given or temporary) store;
-        the parent tails the store's event stream to drive per-cell
-        progress lines while the sweep runs, then loads the results
-        back.
-        """
-        import tempfile
-        import time
-        from concurrent.futures import ProcessPoolExecutor
-        from contextlib import ExitStack
-
-        from .dispatch.events import EVENTS_FILENAME, tail_events
-        from .dispatch.shard import run_shard
-
-        with ExitStack() as stack:
-            if self.store is None:
-                store = CampaignStore(
-                    stack.enter_context(
-                        tempfile.TemporaryDirectory(prefix="repro-campaign-")
-                    ),
-                    self.config,
-                )
-            else:
-                store = self.store
-            events_path = store.directory / EVENTS_FILENAME
-            # Resumed stores keep old logs: start tailing at the current
-            # end of file, so only this run's events drive progress.
-            offset = events_path.stat().st_size if events_path.exists() else 0
-            by_key = {spec.key: spec for spec in pending}
-            shards = min(self.workers, len(pending))
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=shards))
-            futures = [
-                pool.submit(
-                    run_shard,
-                    str(store.directory),
-                    self.config,
-                    str(index),
-                    self.worker,
-                    self.telemetry,
-                    self.lease_seconds,
-                    self.poll_seconds,
-                )
-                for index in range(shards)
-            ]
-            while True:
-                failed = next(
-                    (
-                        future
-                        for future in futures
-                        if future.done() and future.exception() is not None
-                    ),
-                    None,
-                )
-                finished = all(future.done() for future in futures)
-                events, offset = tail_events(events_path, offset)
-                for record in events:
-                    self._observe_event(record, by_key)
-                if failed is not None:
-                    # A shard raised a real error (not a crash the lease
-                    # protocol absorbs): surface it now instead of
-                    # letting survivors grind on.  Failed workers
-                    # release their leases, so peers retrying the same
-                    # cell fail fast too rather than idling out a
-                    # lease expiry; unstarted shards are cancelled.
-                    for future in futures:
-                        future.cancel()
-                    raise failed.exception()
-                if finished:
-                    break
-                time.sleep(0.05)
-            for future in futures:
-                future.result()  # surface shard exceptions
-            for spec in pending:
-                cell = store.load(spec)
-                if cell is None:  # pragma: no cover - shards cannot exit early
-                    raise RuntimeError(f"shards finished but {spec.key} is missing")
-                results[spec] = cell
-            if self.telemetry:
-                seen: set[str] = set()
-                for record in store.load_telemetry():
-                    key = record.get("key")
-                    if (
-                        record.get("kind") == "cell"
-                        and key in by_key
-                        and key not in seen
-                    ):
-                        seen.add(key)
-                        self.telemetry_records.append(record)
-
-    def _observe_event(self, record: dict, by_key: dict[str, CellSpec]) -> None:
-        """Relay one shard event to the progress reporter, if any."""
-        if self.progress is None:
-            return
-        spec = by_key.get(record.get("key"))
-        if spec is None:
-            return
-        event = record.get("event")
-        if event in ("cell-completed", "cell-imported"):
-            self.progress.cell_done(spec, skipped=False)
-        elif event == "cell-retry":
-            self.progress.cell_retried(spec, attempt=record.get("attempt", 1))
-
-    def _finish(
-        self,
-        spec: CellSpec,
-        cell: CellResult,
-        results: dict[CellSpec, CellResult],
-        record: dict | None = None,
-    ) -> None:
-        if self.store is not None:
-            self.store.save(spec, cell)
-        if record is not None:
-            self.telemetry_records.append(record)
-            if self.store is not None:
-                self.store.record_telemetry(record)
-        results[spec] = cell
-        if self.progress is not None:
-            self.progress.cell_done(spec, skipped=False)
-
-
 def run_campaign(
     config: SimStudyConfig,
     *,
@@ -805,29 +589,141 @@ def run_campaign(
     progress: CampaignProgress | None = None,
     telemetry: bool = True,
     worker: Callable[..., CellResult] | None = None,
-    lease_seconds: float | None = None,
-    poll_seconds: float = 0.2,
 ) -> list[CellResult]:
-    """Convenience wrapper: build a :class:`CampaignRunner` and run it.
+    """Run (or resume) a study grid; results follow :func:`grid_specs` order.
+
+    The one executor of every study: the store at ``directory`` (a
+    temporary one when ``None``) is worked by ``min(workers, pending
+    cells)`` :class:`~repro.experiments.dispatch.ShardRunner` shards —
+    one in this process, more in a process pool — leasing cells,
+    streaming events and surviving each other's crashes; then every
+    cell is loaded back from the store.  Results are identical however
+    many shards ran, because every cell is a pure function of its
+    :class:`CellSpec`.
 
     The config's class picks the study's cell worker from the study
     table, so ``run_campaign(config)`` runs any registered study the
-    same way; ``workers=None`` reads ``REPRO_WORKERS`` (default 1).
-    With a ``directory``, per-cell telemetry JSONL accumulates next to
-    the cell artifacts and its totals are merged into the manifest;
+    same way; ``worker`` overrides it (a top-level function, since pool
+    shards pickle it) and an unregistered class without one is a
+    ``ValueError``.  ``workers=None`` reads ``REPRO_WORKERS`` (default
+    1).  ``progress`` gets one line per skipped cell up front and one
+    per completion, retry or import as the shards report it.  With a
+    ``directory``, per-cell telemetry JSONL accumulates next to the
+    cell artifacts and its totals are merged into the manifest;
     ``telemetry=False`` switches all observation off (results are
-    identical either way).  ``worker`` overrides the table's worker
-    (the seam tests use to inject one), and ``lease_seconds``/
-    ``poll_seconds`` tune the sharded path's crash takeover (see
-    :class:`CampaignRunner`).
+    identical either way).
     """
-    return CampaignRunner(
-        config,
-        workers=workers,
-        directory=directory,
-        progress=progress,
-        telemetry=telemetry,
-        worker=worker,
-        lease_seconds=lease_seconds,
-        poll_seconds=poll_seconds,
-    ).run()
+    import tempfile
+
+    from .dispatch.shard import ShardRunner
+
+    if workers is None:
+        workers = workers_from_environment()
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    if worker is None:
+        from .dispatch.registry import study_for
+
+        worker = study_for(config).worker
+    specs = grid_specs(config)
+    with ExitStack() as stack:
+        store = CampaignStore(
+            directory
+            if directory is not None
+            else stack.enter_context(
+                tempfile.TemporaryDirectory(prefix="repro-campaign-")
+            ),
+            config,
+        )
+        pending = {spec.key: spec for spec in specs if not store.has(spec.key)}
+        observe = None
+        if progress is not None:
+            progress.start(len(specs))
+            for spec in specs:
+                if spec.key not in pending:
+                    progress.cell_done(spec, skipped=True)
+            observe = functools.partial(_observe_event, progress, pending)
+        shards = min(workers, len(pending))
+        if shards == 1:
+            ShardRunner(
+                store.directory,
+                config,
+                shard_id="0",
+                worker=worker,
+                telemetry=telemetry,
+                observer=observe,
+            ).run()
+        elif shards > 1:
+            _run_pool(store, worker, telemetry, shards, observe)
+        if telemetry and directory is not None:
+            store.merge_telemetry_summary()
+        cells = [store.load(spec) for spec in specs]
+    missing = [spec.key for spec, cell in zip(specs, cells) if cell is None]
+    if missing:  # pragma: no cover - shards return only on a full grid
+        raise RuntimeError(f"shards finished but {missing} are missing")
+    return cells
+
+
+def _run_pool(
+    store: CampaignStore,
+    worker: Callable[..., CellResult],
+    telemetry: bool,
+    shards: int,
+    observe: Callable[[dict], None] | None,
+) -> None:
+    """Work ``store`` with ``shards`` pool processes, tailing their events.
+
+    A shard that raises (a real error, not a crash the lease protocol
+    absorbs) fails the run at once: its lease is already released, so
+    peers retrying the cell fail fast too, and unstarted shards are
+    cancelled.
+    """
+    from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
+
+    from .dispatch.events import EVENTS_FILENAME, tail_events
+    from .dispatch.shard import run_shard
+
+    events_path = store.directory / EVENTS_FILENAME
+    # Resumed stores keep old logs: start tailing at the current end of
+    # file, so only this run's events drive progress.
+    offset = events_path.stat().st_size if events_path.exists() else 0
+    with ProcessPoolExecutor(max_workers=shards) as pool:
+        futures = [
+            pool.submit(
+                run_shard,
+                str(store.directory),
+                store.config,
+                str(index),
+                worker,
+                telemetry,
+            )
+            for index in range(shards)
+        ]
+        while True:
+            done, running = wait(futures, timeout=0.05, return_when=FIRST_EXCEPTION)
+            if observe is not None:
+                events, offset = tail_events(events_path, offset)
+                for record in events:
+                    observe(record)
+            for future in done:
+                error = future.exception()
+                if error is not None:
+                    for other in futures:
+                        other.cancel()
+                    raise error
+            if not running:
+                return
+
+
+def _observe_event(
+    progress: CampaignProgress, by_key: dict[str, CellSpec], record: dict
+) -> None:
+    """Relay one shard event about a pending cell to ``progress``."""
+    spec = by_key.get(record.get("key"))
+    if spec is None:
+        return
+    event = record.get("event")
+    if event in ("cell-completed", "cell-imported"):
+        progress.cell_done(spec, skipped=False)
+    elif event == "cell-retry":
+        progress.cell_retried(spec, attempt=record.get("attempt", 1))

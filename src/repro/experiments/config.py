@@ -100,14 +100,6 @@ class SimStudyConfig:
         run_cell_spec` builds networks with (``None``: the unit disk)."""
         return None
 
-    @property
-    def replicate_class(self) -> type:
-        """The replicate record :func:`~repro.experiments.campaign.
-        run_cell_spec` emits for this config."""
-        from .campaign import ReplicateMetrics  # deferred: campaign imports us
-
-        return ReplicateMetrics
-
 
 def workers_from_environment() -> int:
     """Campaign worker-process count from ``REPRO_WORKERS`` (default 1)."""

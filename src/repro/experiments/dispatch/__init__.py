@@ -1,15 +1,16 @@
 """Service-shaped campaign execution: shards, leases, event streams.
 
-The campaign layer (PR 2) made study grids parallel and resumable on
-one host; this package makes them *distributable*.  The pieces:
+The campaign layer made study grids resumable; this package is how
+every campaign executes — on one host or many.  The pieces:
 
 * :mod:`~repro.experiments.dispatch.queue` — the crash-tolerant
   :class:`WorkQueue`: per-cell lease files with expiry, atomic steal of
   leases whose workers died, deterministic retry backoff, and
   fingerprint dedup against attached sibling stores;
 * :mod:`~repro.experiments.dispatch.shard` — :class:`ShardRunner`, one
-  worker's run loop (``repro campaign-worker`` is a thin wrapper), and
-  the pool entrypoint the single-host facade fans out to;
+  worker's run loop: :func:`~repro.experiments.campaign.run_campaign`
+  runs one in-process or several in a process pool (through
+  :func:`run_shard`), and ``repro campaign-worker`` is a thin wrapper;
 * :mod:`~repro.experiments.dispatch.events` — the append-only
   ``events.jsonl`` result stream and :func:`watch_campaign`
   (``repro campaign-watch``) for rendering progress mid-sweep;
@@ -18,9 +19,9 @@ one host; this package makes them *distributable*.  The pieces:
   manifest ``study`` tags, and CLI workers' config/worker resolution
   all derive.
 
-Determinism contract, unchanged from the serial runner: same config and
-seed produce byte-identical cell artifacts and manifest no matter how
-many shards ran, crashed, or raced.
+Determinism contract: same config and seed produce byte-identical cell
+artifacts and manifest no matter how many shards ran, crashed, or
+raced.
 """
 
 from .events import (

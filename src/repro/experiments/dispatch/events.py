@@ -3,8 +3,9 @@
 Every shard appends scheduling events — shard lifecycle, per-cell
 completions, retries, dedup imports — to ``events.jsonl`` next to the
 cell artifacts, and any process may *tail* the file to watch a sweep
-that is still running (``repro campaign-watch``, or the single-host
-facade's live progress lines).  Figures can therefore render
+that is still running (``repro campaign-watch``, or
+:func:`~repro.experiments.campaign.run_campaign`'s live progress lines
+when it runs several shards).  Figures can therefore render
 incrementally: a cell-completed event names an artifact that is already
 durably on disk by the time the line appears.
 
@@ -50,7 +51,9 @@ class EventLog:
 
     ``emit`` returns the record it wrote, already stamped with the
     shard id, a monotonically increasing per-shard ``seq``, and an
-    epoch timestamp from the injectable clock.
+    epoch timestamp from the injectable clock.  ``observer``, if given,
+    sees each record right after it is written — how an in-process
+    shard drives its caller's progress lines without tailing the file.
     """
 
     def __init__(
@@ -59,10 +62,12 @@ class EventLog:
         *,
         shard: str | None = None,
         clock: Callable[[], float] | None = None,
+        observer: Callable[[dict], None] | None = None,
     ) -> None:
         self.path = pathlib.Path(path)
         self.shard = shard
         self._clock = epoch_seconds if clock is None else clock
+        self._observer = observer
         self._seq = 0
 
     def emit(self, event: str, **fields) -> dict:
@@ -82,6 +87,8 @@ class EventLog:
             os.write(fd, data)
         finally:
             os.close(fd)
+        if self._observer is not None:
+            self._observer(record)
         return record
 
 

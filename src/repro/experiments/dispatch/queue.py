@@ -6,14 +6,14 @@ module adds the scheduling that makes it *work*: any number of worker
 shards (processes on one host, or hosts sharing a filesystem) lease
 cells from the same campaign directory, and a shard that crashes, hangs,
 or is SIGKILLed simply loses its leases to the survivors when they
-expire.
+expire — at once for survivors on its own host.
 
 The lease protocol
 ==================
 
 One lease file per in-flight cell, ``leases/<key>.json``, holding the
-owning shard, acquisition/expiry epoch timestamps, and the attempt
-number:
+owning shard, its host and process id, acquisition/expiry epoch
+timestamps, and the attempt number:
 
 * **Acquire** — the lease is materialized with ``os.link`` from a fully
   written temp file, so creation is atomic *with its content*: either
@@ -21,9 +21,15 @@ number:
   another shard got there first.  Readers never observe a partial
   lease.
 * **Steal** — a lease whose ``expires`` is in the past belongs to a
-  worker presumed dead.  The stealing shard ``os.replace``-s its own
-  lease over it (attempt + 1) and reads the file back; owning the cell
-  means seeing your own nonce after the replace.  Two shards racing an
+  worker presumed dead, and so does one whose owner ran on this host,
+  in this pid namespace, under a process id that no longer runs (a
+  SIGKILLed shard's lease is taken over at once instead of after
+  ``lease_seconds``; leases from other hosts or pid namespaces keep
+  the time-based expiry).  A wrong "dead" verdict — a reused pid —
+  only costs a recompute, for the reasons below.  The stealing shard
+  ``os.replace``-s its own lease over it (attempt + 1) and reads the
+  file back; owning the cell means seeing your own nonce after the
+  replace.  Two shards racing an
   expired lease resolve to one owner in all but a vanishingly small
   window — and if both *do* compute the cell, determinism makes the
   duplicates byte-identical and the store's first-writer-wins save
@@ -47,6 +53,7 @@ import hashlib
 import json
 import os
 import pathlib
+import socket
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -66,8 +73,11 @@ __all__ = [
 #: and CI shrink it to seconds.
 DEFAULT_LEASE_SECONDS = 300.0
 
-#: Schema tag carried by every lease file.
-LEASE_FORMAT = "repro-lease-v1"
+#: Schema tag carried by every lease file.  v2 added the owner's
+#: ``host`` and ``pid``; v1 leases still load (they expire by time
+#: only), while a v1-only reader takes a v2 lease for a contested one.
+LEASE_FORMAT = "repro-lease-v2"
+_READABLE_FORMATS = (LEASE_FORMAT, "repro-lease-v1")
 
 
 def backoff_seconds(
@@ -107,6 +117,11 @@ class Lease:
     #: Uniquifies the record so a stealing shard can recognize its own
     #: write when two shards race the same expired lease.
     nonce: str
+    #: The owning process's host (hostname plus pid namespace, see
+    #: ``_host_identity``) and pid, so a shard sharing its pid space
+    #: can tell a crashed owner from a slow one.  Empty/0 on v1 leases.
+    host: str = ""
+    pid: int = 0
 
     def to_json(self) -> str:
         return json.dumps(
@@ -118,7 +133,7 @@ class Lease:
     @classmethod
     def from_json(cls, text: str) -> "Lease":
         payload = json.loads(text)
-        if payload.pop("format", None) != LEASE_FORMAT:
+        if payload.pop("format", None) not in _READABLE_FORMATS:
             raise ValueError("not a lease record")
         return cls(**payload)
 
@@ -155,6 +170,7 @@ class WorkQueue:
         self.store = store
         self.shard = str(shard)
         self.lease_seconds = lease_seconds
+        self.host = _host_identity()
         self._clock = epoch_seconds if clock is None else clock
         metrics = NULL_REGISTRY if metrics is None else metrics
         self._leases_acquired = metrics.counter("dispatch.leases")
@@ -204,16 +220,26 @@ class WorkQueue:
             expires=now + self.lease_seconds,
             attempt=attempt,
             nonce=f"{self.shard}:{now:.6f}:{attempt}",
+            host=self.host,
+            pid=os.getpid(),
+        )
+
+    def _owner_dead(self, lease: Lease) -> bool:
+        """Whether ``lease`` is held by a process of our pid space that is gone."""
+        return (
+            lease.host == self.host and lease.pid > 0 and not _pid_alive(lease.pid)
         )
 
     def try_acquire(self, key: str) -> Lease | None:
         """Claim ``key``, stealing an expired lease if one is found.
 
         Returns the lease this shard now holds, or ``None`` when the
-        cell is already completed or validly leased elsewhere.  A
-        returned lease with ``attempt > 0`` was stolen from a presumed
-        crashed worker — callers should honour
-        :func:`backoff_seconds` before recomputing.
+        cell is already completed or validly leased elsewhere.  A lease
+        counts as expired once its ``expires`` has passed or, on this
+        host, once its owning process is gone.  A returned lease with
+        ``attempt > 0`` was stolen from a presumed crashed worker —
+        callers should honour :func:`backoff_seconds` before
+        recomputing.
         """
         if self.store.has(key):
             return None
@@ -231,7 +257,7 @@ class WorkQueue:
                 # Vanished (owner released) or unreadable mid-write:
                 # treat as contested and let the next pass retry.
                 return None
-            if existing.expires > now:
+            if existing.expires > now and not self._owner_dead(existing):
                 return None
             return self._steal(key, existing, now)
         tmp.unlink(missing_ok=True)
@@ -239,7 +265,7 @@ class WorkQueue:
         return lease
 
     def _steal(self, key: str, expired: Lease, now: float) -> Lease | None:
-        """Replace an expired lease with our own; None if outraced."""
+        """Replace an expired or orphaned lease with our own; None if outraced."""
         self._expirations.inc()
         lease = self._new_lease(key, expired.attempt + 1, now)
         path = self.lease_path(key)
@@ -267,7 +293,7 @@ class WorkQueue:
         """Copy ``key``'s artifact from an attached store, if any has it.
 
         Byte-preserving (the artifact is copied verbatim, atomically),
-        so the serial-equivalence contract survives dedup.  Returns
+        so the shard-count equivalence contract survives dedup.  Returns
         whether the cell was imported.
         """
         if self.store.has(key):
@@ -283,3 +309,37 @@ class WorkQueue:
             self._dedup_hits.inc()
             return True
         return False
+
+
+def _host_identity() -> str:
+    """This process's hostname plus, where procfs shows it, its pid namespace.
+
+    Two processes with equal identities share one pid space, so a pid
+    in a lease means the same process to both; containers that share a
+    hostname but not a pid namespace get different identities and fall
+    back to the time-based expiry.
+    """
+    try:
+        namespace = os.readlink("/proc/self/ns/pid")
+    except OSError:
+        return socket.gethostname()
+    return f"{socket.gethostname()}/{namespace}"
+
+
+def _pid_alive(pid: int) -> bool:
+    """Whether process ``pid`` of this host still runs.
+
+    A zombie — killed, but not yet reaped by a parent that died with
+    it — counts as gone: it will never finish its cell.
+    """
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except PermissionError:  # alive, owned by another user
+        return True
+    try:
+        stat = pathlib.Path(f"/proc/{pid}/stat").read_text()
+    except OSError:  # no procfs: a signalable pid is a live one
+        return True
+    return stat.rsplit(")", 1)[-1].split()[0] != "Z"

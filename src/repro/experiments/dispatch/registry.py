@@ -2,12 +2,14 @@
 
 Everything study-specific that the execution layers need is one row of
 :data:`STUDIES`, which maps each manifest ``study`` tag to the study's
-config class, cell worker and replicate class.  The campaign
-runner and :class:`~repro.experiments.dispatch.ShardRunner` take their
-default worker from it (:func:`study_for`),
-:class:`~repro.experiments.campaign.CampaignStore` stamps manifests with
-its tag (:func:`study_tag`), :mod:`repro.experiments.io` rebuilds cell
-artifacts through its replicate class, and a CLI-launched worker shard
+config class, cell worker and replicate class.
+:func:`~repro.experiments.campaign.run_campaign` and
+:class:`~repro.experiments.dispatch.ShardRunner` take their default
+worker from it (:func:`study_for`), the single-hop worker its
+replicate class, :class:`~repro.experiments.campaign.CampaignStore`
+stamps manifests with its tag (:func:`study_tag`),
+:mod:`repro.experiments.io` rebuilds cell artifacts through its
+replicate class, and a CLI-launched worker shard
 (``repro campaign-worker --store DIR``), which knows only the store
 directory, rebuilds config and worker from the manifest through it
 (:func:`config_from_manifest`).  Adding a study means adding one row
@@ -56,7 +58,7 @@ class Study:
 #: Manifest ``study`` tag -> its config class, cell worker and replicate
 #: class, each ``"module:name"`` in :mod:`repro.experiments`.  The SINR
 #: study reuses the single-hop worker: its config supplies the reception
-#: model and replicate class.
+#: model, its row here the replicate class.
 STUDIES: dict[str, tuple[str, str, str]] = {
     "sim": (
         "config:SimStudyConfig",
@@ -151,13 +153,22 @@ def config_from_manifest(manifest: dict) -> tuple[object, Study]:
     back recursively, then cross-checks the rebuilt config's
     fingerprint against the manifest's — a mismatch means the manifest
     was edited or the config schema drifted, either of which must stop
-    a worker before it computes a single wrong cell.
+    a worker before it computes a single wrong cell.  A field the class
+    no longer has (such as an old SINR store's reception-model tag) is
+    the same refusal, a ``ValueError``.
     """
     study = resolve_study(manifest.get("study", "sim"))
     raw = manifest.get("config")
     if not isinstance(raw, dict):
         raise ValueError("manifest has no config record to rebuild")
-    config = study.config_cls(**{k: _tuplify(v) for k, v in raw.items()})
+    try:
+        config = study.config_cls(**{k: _tuplify(v) for k, v in raw.items()})
+    except TypeError as error:
+        raise ValueError(
+            f"manifest config does not fit {study.config_cls.__name__} "
+            f"({error}); the store was written under an older config "
+            "schema: rerun it into a fresh directory"
+        ) from error
     if config_fingerprint(config) != manifest.get("fingerprint"):
         raise ValueError(
             "rebuilt config does not match the manifest fingerprint; "

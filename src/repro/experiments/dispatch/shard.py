@@ -5,10 +5,13 @@ campaign directory: scan the grid in a shard-rotated order (spreading
 initial contention), lease pending cells through the
 :class:`~repro.experiments.dispatch.queue.WorkQueue`, compute them with
 the study's worker function, persist artifacts first-writer-wins, and
-stream events.  Any number of runners — in one process pool, or as
-``repro campaign-worker`` processes on many hosts sharing a filesystem
-— cooperate on one grid; a shard that dies mid-cell loses its lease to
-the survivors when it expires.
+stream events.  It is the only way cells get computed:
+:func:`~repro.experiments.campaign.run_campaign` runs one in-process
+(``workers=1``) or several in a process pool, and ``repro
+campaign-worker`` runs one per process on any host sharing the
+filesystem — all cooperating on one grid.  A shard that dies mid-cell
+loses its lease to the survivors: at once when it ran on their host,
+when the lease expires otherwise.
 
 Idempotency is the load-bearing property at every step: cells are pure
 functions of their spec, artifact writes are atomic and skipped when
@@ -16,7 +19,7 @@ the file already exists, and event consumers deduplicate by key.  A
 retried cell therefore costs wasted compute but can never corrupt the
 store or change the campaign's results — a sharded, crash-riddled run
 of a grid produces cell artifacts and a manifest byte-identical to a
-serial run (the acceptance contract in ``tests/experiments/
+one-shard run (the acceptance contract in ``tests/experiments/
 test_dispatch_faults.py`` and CI's fault-injection job).
 """
 
@@ -71,6 +74,9 @@ class ShardRunner:
         poll_seconds: idle sleep between scans while waiting on cells
             leased to other (live) shards.
         attached: read-only sibling stores for fingerprint dedup.
+        observer: called with every event record this shard emits,
+            right after it is written (see
+            :class:`~repro.experiments.dispatch.events.EventLog`).
         clock / sleep: injectable for deterministic scheduler tests.
     """
 
@@ -85,6 +91,7 @@ class ShardRunner:
         lease_seconds: float = DEFAULT_LEASE_SECONDS,
         poll_seconds: float = 0.2,
         attached: Sequence[str | pathlib.Path] = (),
+        observer: Callable[[dict], None] | None = None,
         clock: Callable[[], float] | None = None,
         sleep: Callable[[float], None] | None = None,
         metrics: MetricsRegistry | None = None,
@@ -126,6 +133,7 @@ class ShardRunner:
             self.store.directory / EVENTS_FILENAME,
             shard=self.shard,
             clock=self._clock,
+            observer=observer,
         )
 
     def _scan_order(self, specs: list[CellSpec]) -> list[CellSpec]:
@@ -237,7 +245,7 @@ class ShardRunner:
                 )
             )
             # Folding the summary into the manifest is the *caller's*
-            # post-grid step (the facade parent, or the CLI worker
+            # post-grid step (run_campaign, or the CLI worker
             # entrypoint): shards finishing near-simultaneously would
             # race the read-modify-write and lose each other's records.
         return report
@@ -249,16 +257,8 @@ def run_shard(
     shard_id: str,
     worker: Callable,
     telemetry: bool,
-    lease_seconds: float,
-    poll_seconds: float,
 ) -> ShardReport:
-    """Top-level pool entrypoint (picklable) for the single-host facade."""
+    """Top-level pool entrypoint (picklable) for ``run_campaign``'s shards."""
     return ShardRunner(
-        directory,
-        config,
-        shard_id=shard_id,
-        worker=worker,
-        telemetry=telemetry,
-        lease_seconds=lease_seconds,
-        poll_seconds=poll_seconds,
+        directory, config, shard_id=shard_id, worker=worker, telemetry=telemetry
     ).run()

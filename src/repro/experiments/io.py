@@ -130,13 +130,13 @@ def cell_from_payload(payload: dict) -> CellResult:
         raise ValueError(
             f"not a repro cell payload (format={payload.get('format')!r})"
         )
-    replicate_class = resolve_study(payload.get("kind", "sim")).replicate_cls
+    replicate_cls = resolve_study(payload.get("kind", "sim")).replicate_cls
     return CellResult(
         n=payload["n"],
         scheme=payload["scheme"],
         beamwidth_deg=payload["beamwidth_deg"],
         results=tuple(
-            replicate_class.from_record(record) for record in payload["replicates"]
+            replicate_cls.from_record(record) for record in payload["replicates"]
         ),
     )
 

@@ -12,18 +12,21 @@ links hurt) as the beam narrows.
 The campaign machinery is reused unchanged — cells are
 :class:`~repro.experiments.campaign.CellSpec` work units run by the
 single-hop worker :func:`~repro.experiments.campaign.run_cell_spec`,
-which takes the reception model and replicate class from the config,
-so parallel/sharded execution, persistence and resume all apply.  The
-unit-disk arm of the study emits plain
-:class:`~repro.experiments.campaign.ReplicateMetrics` records: its
-cell artifacts are byte-identical to a single-hop study's (the CI
-equivalence smoke diffs them), while the SINR arms carry
-``"kind": "sinr"`` records with the capture/drop counters.
+which takes the reception model from the config and the replicate
+class from the study table, so sharded execution, persistence and
+resume all apply.  The unit-disk baseline arm *is* the single-hop
+study: a plain :class:`~repro.experiments.config.SimStudyConfig`
+campaign over the same grid, so its store (manifest and cell
+artifacts) is byte-identical to one (the CI equivalence smoke diffs
+the cells).  The SINR arms carry ``"kind": "sinr"`` records with the
+capture/drop counters.  Stores from when the baseline arm was a
+``SinrStudyConfig`` with a reception-model tag field match no config's
+fingerprint any more and are refused.
 
 Determinism contract: every replicate is a pure function of
 ``(config, n, replicate)`` — shadowing draws come from the replicate
-seed's registry, so serial, parallel and resumed runs are
-byte-identical.
+seed's registry, so runs are byte-identical whatever their shard
+count, and so are resumed ones.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from typing import ClassVar, Sequence
 from ..metrics.summary import ReplicateSummary, summarize
 from ..net.network import SimulationResult
 from ..phy.reception import PhyConfig
-from .campaign import CampaignProgress, CellResult, ReplicateMetrics, run_campaign
+from .campaign import CampaignProgress, CellResult, run_campaign
 from .config import SimStudyConfig
 
 __all__ = [
@@ -51,19 +54,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SinrStudyConfig(SimStudyConfig):
-    """The paper's grid with a reception model on the config axis.
+    """The paper's grid under the SINR/capture reception model.
 
     Inherits the grid axes, replicate count, duration and seed from
     :class:`~repro.experiments.config.SimStudyConfig`; adds the
     :class:`~repro.phy.reception.PhyConfig` knobs as flat fields so
     every one of them lands in the campaign store's config fingerprint
-    (stores refuse to mix reception models or knob values).
+    (stores refuse to mix knob values).
     """
 
-    #: Reception model tag: ``"sinr"``, or ``"unitdisk"`` for the
-    #: baseline arm (whose artifacts are byte-identical to the
-    #: single-hop study's).
-    phy_model: str = "sinr"
     tx_power_dbm: float = 20.0
     pathloss_exponent: float = 3.0
     reference_distance_m: float = 1.0
@@ -76,8 +75,8 @@ class SinrStudyConfig(SimStudyConfig):
     def __post_init__(self) -> None:
         super().__post_init__()
         # Fail at config time, not mid-campaign in a worker process:
-        # PhyConfig validates the model tag, the reception model's own
-        # constructor the knob ranges.  Cheap invariants repeated here.
+        # the reception model's own constructor checks the knob ranges.
+        # Cheap invariants repeated here.
         if not self.pathloss_exponent > 0:
             raise ValueError(
                 f"pathloss exponent must be positive, got {self.pathloss_exponent!r}"
@@ -96,13 +95,12 @@ class SinrStudyConfig(SimStudyConfig):
                 f"sensitivity ({self.sensitivity_dbm} dBm) must not sit below "
                 f"the noise floor ({self.noise_dbm} dBm)"
             )
-        self.phy_config  # noqa: B018 - validates the model tag
 
     @property
     def phy_config(self) -> PhyConfig:
         """The per-run reception configuration these fields describe."""
         return PhyConfig(
-            model=self.phy_model,
+            model="sinr",
             tx_power_dbm=self.tx_power_dbm,
             pathloss_exponent=self.pathloss_exponent,
             reference_distance_m=self.reference_distance_m,
@@ -112,15 +110,6 @@ class SinrStudyConfig(SimStudyConfig):
             noise_dbm=self.noise_dbm,
             capture_threshold_db=self.capture_threshold_db,
         )
-
-    @property
-    def replicate_class(self) -> type:
-        """Plain :class:`~repro.experiments.campaign.ReplicateMetrics`
-        for the unit-disk arm (its artifacts stay byte-identical to the
-        single-hop study's), :class:`SinrReplicateMetrics` otherwise."""
-        if self.phy_model == "unitdisk":
-            return ReplicateMetrics
-        return SinrReplicateMetrics
 
 
 @dataclass(frozen=True)
@@ -226,20 +215,25 @@ def run_sinr_study(
 ) -> list[SinrArmCell]:
     """Sweep capture threshold x the grid against the unit-disk baseline.
 
-    Runs one campaign per arm — the unit-disk baseline plus one SINR
-    campaign per entry of ``capture_db_values`` — each in its own
-    subdirectory of ``directory`` (``unitdisk/``, ``capture-<v>db/``),
-    so every arm resumes independently and no store ever mixes models.
-    Returns the concatenated per-arm summaries, baseline first.
+    Runs one campaign per arm — the unit-disk baseline (a plain
+    :class:`~repro.experiments.config.SimStudyConfig` over the same
+    grid) plus one SINR campaign per entry of ``capture_db_values`` —
+    each in its own subdirectory of ``directory`` (``unitdisk/``,
+    ``capture-<v>db/``), so every arm resumes independently and no
+    store ever mixes models.  Returns the concatenated per-arm
+    summaries, baseline first.
     """
     base = pathlib.Path(directory) if directory is not None else None
-    arms: list[tuple[float | None, SinrStudyConfig]] = [
-        (None, dataclasses.replace(config, phy_model="unitdisk"))
-    ]
+    baseline = SimStudyConfig(
+        **{
+            field.name: getattr(config, field.name)
+            for field in dataclasses.fields(SimStudyConfig)
+        }
+    )
+    arms: list[tuple[float | None, SimStudyConfig]] = [(None, baseline)]
     for value in capture_db_values:
         arms.append(
-            (value, dataclasses.replace(config, phy_model="sinr",
-                                        capture_threshold_db=value))
+            (value, dataclasses.replace(config, capture_threshold_db=value))
         )
     summary: list[SinrArmCell] = []
     for capture_db, arm_cfg in arms:

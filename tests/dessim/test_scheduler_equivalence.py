@@ -229,14 +229,17 @@ class TestCampaignArtifacts:
                 ) == strip_host_timing(heap_manifest.pop("telemetry", {}))
                 assert wheel_manifest == heap_manifest
                 continue
-            if wheel_file.name == "telemetry.jsonl":
+            if wheel_file.name in ("telemetry.jsonl", "events.jsonl"):
+                # Event lines also carry an epoch timestamp.
                 wheel_lines = wheel_file.read_text().splitlines()
                 heap_lines = heap_file.read_text().splitlines()
                 assert len(wheel_lines) == len(heap_lines)
                 for wheel_line, heap_line in zip(wheel_lines, heap_lines):
-                    assert strip_host_timing(
-                        json.loads(wheel_line)
-                    ) == strip_host_timing(json.loads(heap_line))
+                    wheel_record = strip_host_timing(json.loads(wheel_line))
+                    heap_record = strip_host_timing(json.loads(heap_line))
+                    wheel_record.pop("ts", None)
+                    heap_record.pop("ts", None)
+                    assert wheel_record == heap_record
                 continue
             assert wheel_file.read_bytes() == heap_file.read_bytes(), (
                 wheel_file.name

@@ -12,17 +12,32 @@ import pytest
 from repro.dessim import seconds
 from repro.experiments import (
     CampaignProgress,
-    CampaignRunner,
     CampaignStore,
     CellSpec,
     SimStudyConfig,
     cached_topology,
+    grid_specs,
     replicate_seed,
     replicate_topology,
     run_campaign,
     run_cell_spec,
+    workers_from_environment,
 )
+from repro.experiments.dispatch import WorkQueue, read_events
+from repro.experiments.dispatch.queue import DEFAULT_LEASE_SECONDS
 from repro.experiments.io import load_cell_json, save_cell_json
+
+
+def child_env():
+    """The environment for a child interpreter that imports ``repro``."""
+    import repro
+
+    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src_dir, env.get("PYTHONPATH", "")) if p
+    )
+    return env
 
 
 def tiny_config(**overrides):
@@ -138,13 +153,14 @@ class TestCampaignStore:
 
 
 class TestCampaignRunner:
-    def test_rejects_bad_workers(self):
+    def test_rejects_bad_workers(self, tmp_path):
         with pytest.raises(ValueError):
-            CampaignRunner(tiny_config(), workers=0)
+            run_campaign(tiny_config(), workers=0, directory=tmp_path / "camp")
+        assert not (tmp_path / "camp").exists()  # no store pinned
 
     def test_specs_cover_grid_in_order(self):
         config = tiny_config(n_values=(3, 5), beamwidths_deg=(30.0, 90.0))
-        specs = CampaignRunner(config).specs()
+        specs = grid_specs(config)
         assert len(specs) == 2 * 2 * 2
         assert specs[0] == CellSpec(3, "ORTS-OCTS", 30.0, config)
         assert specs[-1] == CellSpec(5, "DRTS-DCTS", 90.0, config)
@@ -152,15 +168,28 @@ class TestCampaignRunner:
     def test_matches_serial_runner(self):
         config = tiny_config()
         assert run_campaign(config) == [
-            run_cell_spec(spec) for spec in CampaignRunner(config).specs()
+            run_cell_spec(spec) for spec in grid_specs(config)
         ]
 
-    def test_workers_from_environment(self, monkeypatch):
+    def test_workers_from_environment(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_WORKERS", "1")
-        assert CampaignRunner(tiny_config(), workers=None).workers == 1
+        assert workers_from_environment() == 1
+        monkeypatch.setenv("REPRO_WORKERS", "3")
+        assert workers_from_environment() == 3
+        config = tiny_config(beamwidths_deg=(30.0, 150.0))  # 4 cells
+        directory = tmp_path / "camp"
+        assert run_campaign(config, workers=None, directory=directory) == (
+            run_campaign(config)
+        )
+        started = {
+            record["shard"]
+            for record in read_events(directory / "events.jsonl")
+            if record["event"] == "shard-start"
+        }
+        assert started == {"0", "1", "2"}  # one shard per REPRO_WORKERS
         monkeypatch.setenv("REPRO_WORKERS", "0")
         with pytest.raises(ValueError):
-            CampaignRunner(tiny_config(), workers=None)
+            run_campaign(tiny_config(), workers=None)
 
     def test_serial_vs_parallel_identical(self):
         """Acceptance: serial and 4-worker runs of the same config give
@@ -225,17 +254,10 @@ class TestKilledCampaignResume:
             "    topologies=1, sim_time_ns=seconds(0.4))\n"
             f"run_campaign(config, workers=2, directory={str(directory)!r})\n"
         )
-        import repro
-
-        src_dir = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src_dir, env.get("PYTHONPATH", "")) if p
-        )
         # A session of its own, so the kill takes the pool workers with
         # the parent instead of leaving them orphaned.
         proc = subprocess.Popen(
-            [sys.executable, "-c", script], env=env, start_new_session=True
+            [sys.executable, "-c", script], env=child_env(), start_new_session=True
         )
         try:
             deadline = time.monotonic() + 60
@@ -271,6 +293,54 @@ class TestKilledCampaignResume:
         assert resumed == run_campaign(config)
 
 
+class TestStaleLease:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_dead_owners_lease_does_not_delay_the_campaign(
+        self, tmp_path, workers
+    ):
+        """Regression: a lease left by a crashed process on this host
+        blocked its cell until the lease expired (300 s by default).
+        An owner whose pid is gone now counts as expired at once."""
+        config = tiny_config()
+        directory = tmp_path / "camp"
+        CampaignStore(directory, config)
+        key = grid_specs(config)[0].key
+        script = (
+            "import json, pathlib, sys\n"
+            "from repro.experiments import CampaignStore\n"
+            "from repro.experiments.dispatch import WorkQueue\n"
+            "from repro.experiments.dispatch.registry import config_from_manifest\n"
+            "directory = pathlib.Path(sys.argv[1])\n"
+            "manifest = json.loads((directory / 'campaign.json').read_text())\n"
+            "config, _ = config_from_manifest(manifest)\n"
+            "store = CampaignStore(directory, config)\n"
+            "assert WorkQueue(store, shard='0').try_acquire(sys.argv[2])\n"
+        )
+        subprocess.run(
+            [sys.executable, "-c", script, str(directory), key],
+            env=child_env(),
+            check=True,
+            timeout=120,
+        )
+        queue = WorkQueue(CampaignStore(directory, config), shard="probe")
+        orphan = queue.read_lease(key)
+        assert orphan is not None and orphan.expires > time.time()
+
+        start = time.monotonic()
+        cells = run_campaign(
+            config, workers=workers, directory=directory, telemetry=False
+        )
+        assert time.monotonic() - start < DEFAULT_LEASE_SECONDS / 10
+        assert cells == run_campaign(config)
+        retries = [
+            record
+            for record in read_events(directory / "events.jsonl")
+            if record["event"] == "cell-retry"
+        ]
+        assert [(r["key"], r["attempt"]) for r in retries] == [(key, 1)]
+        assert list((directory / "leases").glob("*.json")) == []
+
+
 class TestCampaignProgress:
     def test_reports_skips_and_eta(self):
         ticks = iter(range(0, 100, 10))
@@ -279,7 +349,7 @@ class TestCampaignProgress:
             clock=lambda: float(next(ticks)), echo=lines.append
         )
         config = tiny_config()
-        spec_a, spec_b = CampaignRunner(config).specs()
+        spec_a, spec_b = grid_specs(config)
         progress.start(2)
         progress.cell_done(spec_a, skipped=True)
         progress.cell_done(spec_b, skipped=False)
@@ -299,6 +369,34 @@ class TestCampaignProgress:
         assert lines[0] == "campaign: 2 cells"
         assert len(lines) == 3
 
+    def test_one_shard_reports_each_cell_as_it_finishes(self, tmp_path):
+        """With one worker the in-process shard relays each completion
+        live: every progress line lands before the next cell starts,
+        and a resume prints its skipped lines up front."""
+        log = []
+
+        def worker(spec, metrics=None, profiler=None):
+            log.append(("start", spec.key))
+            return run_cell_spec(spec, metrics=metrics, profiler=profiler)
+
+        config = tiny_config()
+        directory = tmp_path / "camp"
+        progress = CampaignProgress(echo=lambda line: log.append(("line", line)))
+        run_campaign(config, directory=directory, progress=progress, worker=worker)
+        first, second = (spec.key for spec in grid_specs(config))
+        assert [entry[0] for entry in log] == [
+            "line", "start", "line", "start", "line",
+        ]
+        assert log[1] == ("start", first) and "[1/2]" in log[2][1]
+        assert log[3] == ("start", second) and "[2/2]" in log[4][1]
+
+        log.clear()
+        (directory / f"cell-{second}.json").unlink()
+        run_campaign(config, directory=directory, progress=progress, worker=worker)
+        assert [entry[0] for entry in log] == ["line", "line", "start", "line"]
+        assert "cached, skipped" in log[1][1]
+        assert log[2] == ("start", second) and "[2/2]" in log[3][1]
+
     def test_duplicate_completion_does_not_skew_eta(self):
         """Regression: a lease-race double completion used to advance
         the rate estimate, halving the apparent per-cell cost.  The
@@ -308,9 +406,9 @@ class TestCampaignProgress:
         clock = iter([0.0, 10.0, 20.0]).__next__
         lines = []
         progress = CampaignProgress(clock=clock, echo=lines.append)
-        spec_a, spec_b = CampaignRunner(
+        spec_a, spec_b = grid_specs(
             tiny_config(beamwidths_deg=(30.0, 90.0), schemes=("ORTS-OCTS",))
-        ).specs()
+        )
         progress.start(4)
         progress.cell_done(spec_a, skipped=False)  # t=10: 10s/cell, 3 left
         assert "[1/4]" in lines[1] and "eta 30.0s" in lines[1]
@@ -324,9 +422,7 @@ class TestCampaignProgress:
         clock = iter([0.0, 5.0, 10.0]).__next__
         lines = []
         progress = CampaignProgress(clock=clock, echo=lines.append)
-        (spec,) = CampaignRunner(
-            tiny_config(schemes=("ORTS-OCTS",))
-        ).specs()
+        (spec,) = grid_specs(tiny_config(schemes=("ORTS-OCTS",)))
         progress.start(1)
         progress.cell_retried(spec, attempt=2)
         assert "re-queued (attempt 2, lease expired)" in lines[1]

@@ -9,6 +9,8 @@ primitives the multi-process path uses.  Real crashes are covered by
 
 import json
 import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -109,6 +111,27 @@ class TestLeaseRecord:
         with pytest.raises(ValueError):
             Lease.from_json(json.dumps({"format": "other", "key": "k"}))
 
+    def test_written_as_v2(self):
+        lease = Lease(
+            key="k", shard="s", acquired=1.0, expires=2.0, attempt=0, nonce="n"
+        )
+        assert json.loads(lease.to_json())["format"] == "repro-lease-v2"
+
+    def test_v1_record_loads_without_owner(self):
+        """Leases written before host/pid were recorded still load and
+        expire by time only."""
+        payload = {
+            "format": "repro-lease-v1",
+            "key": "k",
+            "shard": "s",
+            "acquired": 1.0,
+            "expires": 2.0,
+            "attempt": 0,
+            "nonce": "n",
+        }
+        lease = Lease.from_json(json.dumps(payload))
+        assert (lease.key, lease.host, lease.pid) == ("k", "", 0)
+
 
 class TestWorkQueue:
     def make(self, tmp_path, shard="0", clock=None, metrics=None, **kwargs):
@@ -168,6 +191,39 @@ class TestWorkQueue:
         assert counters["dispatch.lease_expirations"] == 1
         assert counters["dispatch.steals"] == 1
         assert counters["dispatch.leases"] == 1
+
+    def test_dead_owner_counts_as_expired_only_in_our_pid_space(self, tmp_path):
+        """An unexpired lease whose owner pid is gone is taken over at
+        once when the owner shared our host and pid namespace; from any
+        other host identity (another container under the same hostname,
+        say) the pid means nothing here and the lease waits for expiry."""
+        clock = FakeClock()
+        store, queue = self.make(tmp_path, shard="live", clock=clock)
+        if os.path.exists("/proc/self/ns/pid"):
+            assert queue.host.endswith(os.readlink("/proc/self/ns/pid"))
+        dead_pid = int(
+            subprocess.run(
+                [sys.executable, "-c", "import os; print(os.getpid())"],
+                capture_output=True,
+                check=True,
+                text=True,
+            ).stdout
+        )
+        for key, host in (("same", queue.host), ("other", queue.host + "-x")):
+            orphan = Lease(
+                key=key,
+                shard="dead",
+                acquired=clock(),
+                expires=clock() + DEFAULT_LEASE_SECONDS,
+                attempt=0,
+                nonce="dead",
+                host=host,
+                pid=dead_pid,
+            )
+            queue.lease_path(key).write_text(orphan.to_json())
+        stolen = queue.try_acquire("same")
+        assert stolen is not None and stolen.attempt == 1
+        assert queue.try_acquire("other") is None
 
     def test_corrupt_lease_reads_as_none(self, tmp_path):
         store, queue = self.make(tmp_path)
@@ -417,6 +473,20 @@ class TestEventStream:
         )
         assert summary.completed == 1
 
+    def test_one_worker_store_is_watchable(self, tmp_path):
+        """Regression: a finished one-worker campaign left no event log,
+        so campaign-watch reported 0 cells and exited 1 on it."""
+        from repro.cli import main
+
+        config = tiny_config(beamwidths_deg=(30.0, 90.0))
+        directory = tmp_path / "camp"
+        run_campaign(config, workers=1, directory=directory, telemetry=False)
+        lines = []
+        summary = watch_campaign(directory, follow=False, echo=lines.append)
+        assert summary.finished and summary.completed == summary.total == 4
+        assert sum(line.startswith("[") for line in lines) == 4
+        assert main(["campaign-watch", "--store", str(directory), "--once"]) == 0
+
     def test_watch_requires_a_store(self, tmp_path):
         with pytest.raises(ValueError, match="manifest"):
             watch_campaign(tmp_path, follow=False, echo=lambda _: None)
@@ -522,8 +592,8 @@ class TestSummaryMergeOwnership:
     def test_shard_leaves_manifest_merge_to_caller(self, tmp_path):
         """ShardRunner appends telemetry but never merges the manifest
         summary — shards finishing near-simultaneously would race the
-        read-modify-write.  Merging is the finisher's step (facade
-        parent or CLI worker exit) and stays re-runnable."""
+        read-modify-write.  Merging is the finisher's step
+        (run_campaign or CLI worker exit) and stays re-runnable."""
         config = tiny_config()
         CampaignStore(tmp_path / "camp", config)
         ShardRunner(tmp_path / "camp", config, shard_id="w0").run()

@@ -16,7 +16,9 @@ from repro.cli import main
 from repro.dessim import seconds
 from repro.experiments import (
     CampaignStore,
+    CellResult,
     MultihopStudyConfig,
+    ReplicateMetrics,
     SimStudyConfig,
     SinrReplicateMetrics,
     SinrStudyConfig,
@@ -28,7 +30,9 @@ from repro.experiments import (
     run_sinr_study,
     run_slot_cell_spec,
 )
-from repro.experiments.dispatch import ShardRunner, study_for
+from repro.experiments.dispatch import STUDIES, ShardRunner, resolve_study, study_for
+from repro.experiments.dispatch.registry import config_from_manifest
+from repro.experiments.io import cell_from_payload, cell_to_payload, load_cell_json
 
 
 def sim_config():
@@ -124,6 +128,40 @@ class TestDefaultWorker:
         assert all(isinstance(r, SinrReplicateMetrics) for r in cell.results)
 
 
+CONFIGS = {
+    "sim": sim_config,
+    "multihop": multihop_config,
+    "slotsim": slot_config,
+    "sinr": sinr_config,
+}
+
+
+class TestReplicateClassFromTheTable:
+    @pytest.mark.parametrize("tag", sorted(STUDIES))
+    def test_one_cell_campaign_records_the_rows_class(self, tag, tmp_path):
+        """Every row's replicate class is the one declaration of what its
+        cells record, and the stored cell round-trips through io."""
+        row = resolve_study(tag)
+        config = CONFIGS[tag]()
+        config = dataclasses.replace(config, schemes=config.schemes[:1])
+        directory = tmp_path / "camp"
+        (cell,) = run_campaign(config, directory=directory, telemetry=False)
+        assert cell.results
+        assert {type(r) for r in cell.results} == {row.replicate_cls}
+        assert cell_from_payload(cell_to_payload(cell)) == cell
+        (artifact,) = directory.glob("cell-*.json")
+        assert load_cell_json(artifact) == cell
+
+    def test_old_sinr_store_is_refused(self, tmp_path):
+        """Stores from when SINR configs carried a reception-model tag
+        field are refused with a ValueError, not a TypeError."""
+        store = CampaignStore(tmp_path / "camp", sinr_config())
+        manifest = json.loads((store.directory / "campaign.json").read_text())
+        manifest["config"]["phy_model"] = "unitdisk"
+        with pytest.raises(ValueError, match="SinrStudyConfig"):
+            config_from_manifest(manifest)
+
+
 class TestOneKindPerStore:
     def test_cli_worker_finishing_a_sinr_store_keeps_one_kind(self, tmp_path):
         """A store started by run_campaign and finished by a CLI worker
@@ -170,5 +208,27 @@ class TestUnregisteredConfig:
             topologies=1,
             sim_time_ns=seconds(0.05),
         )
-        (cell,) = run_campaign(config, worker=run_cell_spec, telemetry=False)
-        assert cell.results[0].seed > 0
+        (spec,) = grid_specs(config)
+        (cell,) = run_campaign(config, worker=_plugin_worker, telemetry=False)
+        assert cell == _plugin_worker(spec)
+
+
+def _plugin_worker(spec, metrics=None, profiler=None):
+    """A cell worker for a study the table does not know."""
+    return CellResult(
+        n=spec.n,
+        scheme=spec.scheme,
+        beamwidth_deg=spec.beamwidth_deg,
+        results=(
+            ReplicateMetrics(
+                replicate=0,
+                seed=spec.config.extra + 1,
+                duration_ns=spec.config.sim_time_ns,
+                inner_throughput_bps=0.5,
+                inner_mean_delay_s=0.25,
+                inner_collision_ratio=0.0,
+                inner_fairness=1.0,
+                inner_packets_delivered=0,
+            ),
+        ),
+    )

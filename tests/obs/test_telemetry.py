@@ -119,15 +119,19 @@ class TestCampaignIntegration:
         results = run_campaign(config, workers=1, directory=tmp_path)
         store = CampaignStore(tmp_path, config)
         records = store.load_telemetry()
-        assert len(records) == len(results) == 2
-        assert {r["key"] for r in records} == {
+        cell_records = [r for r in records if r["kind"] == "cell"]
+        assert len(cell_records) == len(results) == 2
+        assert {r["key"] for r in cell_records} == {
             "n3-ORTS-OCTS-bw90",
             "n3-DRTS-DCTS-bw90",
         }
+        # The one shard that computed them adds its scheduler record.
+        assert [r["kind"] for r in records].count("shard") == 1
+        assert len(records) == 3
         manifest = json.loads((tmp_path / "campaign.json").read_text())
         assert manifest["telemetry"]["cells"] == 2
         assert manifest["telemetry"]["events_processed"] == sum(
-            r["events_processed"] for r in records
+            r["events_processed"] for r in cell_records
         )
 
     def test_resume_does_not_duplicate_telemetry(self, tmp_path):
