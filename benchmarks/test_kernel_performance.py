@@ -111,6 +111,7 @@ def test_mobility_churn_invalidation(benchmark):
     from repro.mac.neighbors import SnapshotNeighborTable
     from repro.mac.policy import POLICIES
     from repro.net.mobility import RandomWaypointMobility
+    from repro.net.network import close_stack
     from repro.phy.channel import Channel
     from repro.phy.propagation import Position, UnitDiskPropagation
     from repro.phy.radio import Radio
@@ -160,6 +161,7 @@ def test_mobility_churn_invalidation(benchmark):
             ).start()
         sim.run(until=seconds(0.2))
         assert channel.cache.move_seq > n
+        close_stack(sim, channel, macs.values())
         return sim.events_processed
 
     assert benchmark(run) > 1_000

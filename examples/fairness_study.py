@@ -19,7 +19,12 @@ import random
 from repro.dessim import RngRegistry, Simulator, seconds
 from repro.mac import DSSS_MAC, DcfMac, NeighborTable, POLICIES
 from repro.metrics import jain_index
-from repro.net import NetworkSimulation, TopologyConfig, generate_ring_topology
+from repro.net import (
+    NetworkSimulation,
+    TopologyConfig,
+    close_stack,
+    generate_ring_topology,
+)
 from repro.phy import Channel, Position, Radio, UnitDiskPropagation
 from repro.traffic import SaturatedCbrSource
 
@@ -45,6 +50,9 @@ def adversarial_pairs(scheme: str, beamwidth_deg: float, seed: int = 0):
         # start() is deferred to run in NetworkSimulation; here sources
         # enqueue immediately, which is what we want.
     sim.run(until=seconds(5))
+    # A hand-wired stack is a web of reference cycles: cut them so the
+    # next call's stack does not wait for a full collection.
+    close_stack(sim, channel, macs.values())
     return [macs[0].stats.packets_delivered, macs[2].stats.packets_delivered]
 
 

@@ -12,12 +12,13 @@ which keeps the uncontended case as lean as a heap push.  Cancellation
 is an O(1) tombstone reclaimed when its bucket drains, so cancelled
 timers leave no structure the pop path must wade through, and
 :meth:`Simulator.reschedule` re-links a fired event's own object in
-place, which removes allocation from the MAC's hottest pattern (the
-backoff slot timer re-arming itself).  Anonymous fire-and-forget
-events (:meth:`Simulator.schedule_anon`) recycle through a free-list
-pool.  The dict has an unbounded horizon, so there is no overflow
-wheel and no promotion step for far-future events — a far-future
-timestamp is just another dict key.
+place, so a timer re-armed after its last expiry fired allocates
+nothing: each MAC timer (IFS, backoff countdown, CTS/ACK timeouts)
+does this once per contention round or handshake.  Anonymous
+fire-and-forget events (:meth:`Simulator.schedule_anon`) recycle
+through a free-list pool.  The dict has an unbounded horizon, so
+there is no overflow wheel and no promotion step for far-future
+events — a far-future timestamp is just another dict key.
 
 The binary heap of ``(time, sequence, Event)`` triples this engine
 replaced is kept as a test oracle, ``tests/dessim/heap_simulator.py``:
@@ -41,7 +42,7 @@ nodes.
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any, Callable, NoReturn
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, no runtime dependency
     from ..obs.metrics import MetricsRegistry
@@ -71,6 +72,23 @@ _MAX_FREE_EVENTS = 512
 
 def _noop() -> None:  # pragma: no cover - pool placeholder, never fired
     return None
+
+
+class _ClosedCalendar:
+    """The calendar of a closed :class:`Simulator`.
+
+    Every scheduling path looks up its timestamp bucket before linking,
+    so making that one lookup raise turns any use of a closed simulator
+    into a :class:`SimulationError` at no cost to an open one.
+    """
+
+    __slots__ = ()
+
+    def get(self, _time: int) -> NoReturn:
+        raise SimulationError("simulator is closed")
+
+
+_CLOSED_CALENDAR: Any = _ClosedCalendar()
 
 
 class Event:
@@ -301,8 +319,9 @@ class Simulator:
 
         The restart-in-place primitive behind :class:`~repro.dessim.Timer`:
 
-        - ``previous`` already fired (the dominant pattern — a slot
-          timer re-arming from its own callback): its object is
+        - ``previous`` already fired (the dominant pattern — a MAC's
+          CTS timeout armed again at its next RTS, or its backoff at
+          the next contention round): its object is
           re-linked in place with a new ``(time, seq)``, zero
           allocation.  Safe because the sweep consumed the fired bucket
           entry, so the object has exactly one live entry again.
@@ -401,6 +420,23 @@ class Simulator:
         """
         event.cancel()
 
+    def close(self) -> None:
+        """Drop the calendar and the recycling pools (idempotent).
+
+        Every event points back at its simulator, and pending events
+        hold component callbacks, so a live calendar ties the simulator
+        and everything scheduled on it into one reference cycle.
+        Closing cuts it.  The clock and counters stay readable;
+        scheduling on, stepping or running a closed simulator raises
+        :class:`SimulationError`.
+        """
+        if self._running:
+            raise SimulationError("cannot close() while run() is active")
+        self._buckets = _CLOSED_CALENDAR
+        self._times = []
+        self._free_lists = []
+        self._free_events = []
+
     # ------------------------------------------------------------------
     # Execution.
     # ------------------------------------------------------------------
@@ -413,6 +449,8 @@ class Simulator:
         """
         if self._running:
             raise SimulationError("cannot step() while run() is active")
+        if self._buckets is _CLOSED_CALENDAR:
+            raise SimulationError("simulator is closed")
         times = self._times
         buckets = self._buckets
         while times:
@@ -521,6 +559,8 @@ class Simulator:
         """
         if self._running:
             raise SimulationError("simulator is not reentrant")
+        if self._buckets is _CLOSED_CALENDAR:
+            raise SimulationError("simulator is closed")
         if until is not None and until < self._now:
             raise SimulationError(
                 f"cannot run until t={until} before now={self._now}"

@@ -10,15 +10,18 @@ dance so protocol code reads declaratively::
     self.cts_timeout.cancel()      # CTS arrived in time
 
 Restarting follows :meth:`Simulator.reschedule`, the engine's
-restart-in-place primitive: on the wheel engine a timer that re-arms
-after firing (the backoff slot loop, the MAC's hottest pattern)
-re-links its *own* event object — no allocation, no trampoline.  The
-timer's callback is scheduled directly as the event callback; pending
-state is derived from the event's lifecycle flag, so there is no
-per-fire bookkeeping frame between the engine and protocol code.
+restart-in-place primitive: on the wheel engine a timer re-armed after
+its last expiry fired re-links its *own* event object — no allocation,
+no trampoline.  A timer re-armed while still pending, or after a
+cancel, leaves that event behind as a tombstone and links a fresh one.
+The timer's callback is scheduled directly as the event callback;
+pending state is derived from the event's lifecycle flag, so there is
+no per-fire bookkeeping frame between the engine and protocol code.
 
 :meth:`Timer.start` on the wheel engine is the kernel's single hottest
-entry point (one call per backoff slot per contending node), so the
+entry point: a contending MAC arms its IFS timer on every idle edge of
+the medium (and freezes it on every busy one), then arms one backoff
+countdown and one CTS or ACK timeout per handshake attempt.  So the
 wheel's reschedule body is inlined here rather than called — the
 method *is* ``Simulator.reschedule`` minus one stack frame, with the
 callback write skipped because a timer's callback never changes.  Any
@@ -44,15 +47,19 @@ from .engine import (
 __all__ = ["Timer"]
 
 
+def _closed(*_args: Any) -> None:
+    raise SimulationError("timer is closed")
+
+
 class Timer:
     """A cancellable, restartable one-shot timer.
 
     Restarting a pending timer cancels the previous expiry; the timer
     fires at most once per :meth:`start`.
 
-    ``__slots__`` matters: the MAC arms a timer per backoff slot,
-    making start/cancel churn the kernel's hottest caller after the
-    event loop itself.
+    ``__slots__`` matters: a contending MAC arms or cancels a timer on
+    every medium edge, making start/cancel churn the kernel's hottest
+    caller after the event loop itself.
     """
 
     __slots__ = ("_sim", "name", "_callback", "_event", "_wheel")
@@ -153,6 +160,18 @@ class Timer:
         event = self._event
         if event is not None:
             event.cancel()
+
+    def close(self) -> None:
+        """Disarm and drop the callback and the last event (idempotent).
+
+        The callback is usually a bound method of the object that owns
+        this timer, so an open timer and its owner form a reference
+        cycle; closing cuts it.  A closed timer is not meant to be
+        restarted: its expiry would raise :class:`SimulationError`.
+        """
+        self.cancel()
+        self._event = None
+        self._callback = _closed
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         expiry = self.expiry

@@ -24,6 +24,7 @@ from ..mac.dcf import DcfMac
 from ..mac.neighbors import SnapshotNeighborTable
 from ..mac.policy import POLICIES
 from ..net.mobility import RandomWaypointMobility
+from ..net.network import close_stack
 from ..phy.channel import Channel
 from ..phy.propagation import Position, UnitDiskPropagation
 from ..phy.radio import Radio
@@ -85,7 +86,10 @@ def _run_pair(
         bounds=(100, -200, 250, 200),
     ).start()
     SaturatedCbrSource(sim, macs[0], [1], rng.stream("traffic")).start()
-    sim.run(until=sim_time_ns)
+    try:
+        sim.run(until=sim_time_ns)
+    finally:
+        close_stack(sim, channel, macs.values())
     return macs[0].stats
 
 

@@ -153,6 +153,17 @@ class DcfMac:
             sim, f"n{self.node_id}-sifs-data", self._fire_send_data
         )
         self._nav_timer = Timer(sim, f"n{self.node_id}-nav", self._on_nav_expired)
+        self._timers = (
+            self._ifs_timer,
+            self._slot_timer,
+            self._cts_timer,
+            self._ack_timer,
+            self._data_timer,
+            self._data_start_probe,
+            self._response_timer,
+            self._initiator_timer,
+            self._nav_timer,
+        )
         self._pending_response: Callable[[], None] | None = None
 
         # Hooks: called with (packet, delivered) when service finishes,
@@ -177,6 +188,20 @@ class DcfMac:
     @property
     def queue_length(self) -> int:
         return len(self.queue)
+
+    def close(self) -> None:
+        """Cut the reference cycles through this MAC (idempotent).
+
+        Its timers hold bound methods of it, a pending SIFS response is
+        a closure over it, and the traffic and relay layers it calls
+        back through its listener lists hold it in turn.  ``stats``
+        and the queue stay readable; the MAC cannot run again.
+        """
+        for timer in self._timers:
+            timer.close()
+        self._pending_response = None
+        self.service_listeners.clear()
+        self.delivery_listeners.clear()
 
     # ==================================================================
     # Medium access (initiator side).

@@ -6,7 +6,7 @@ from .multihop import (
     MultihopNetworkSimulation,
     MultihopSimulationResult,
 )
-from .network import NetworkSimulation, SimulationResult
+from .network import NetworkSimulation, SimulationResult, close_stack
 from .topology import (
     Topology,
     TopologyConfig,
@@ -23,6 +23,7 @@ __all__ = [
     "NetworkSimulation",
     "RandomWaypointMobility",
     "SimulationResult",
+    "close_stack",
     "connected_components",
     "is_connected",
     "validate_simulation",

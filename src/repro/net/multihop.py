@@ -19,8 +19,10 @@ telemetry on or off.
 from __future__ import annotations
 
 import math
+import weakref
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING
 
 from ..dessim.engine import Simulator
@@ -41,11 +43,12 @@ from ..phy.channel import Channel
 from ..phy.frames import PhyParameters
 from ..phy.propagation import UnitDiskPropagation
 from ..phy.radio import Radio
-from ..route.forwarding import ForwardingAgent
+from ..route.forwarding import FlowPayload, ForwardingAgent
 from ..route.router import GreedyGeographicRouter, Router, StaticShortestPathRouter
 from ..route.stats import RouteStats
 from ..traffic.cbr import DEFAULT_PACKET_BYTES
 from ..traffic.flows import FlowTrafficSource
+from .network import close_stack
 from .topology import Topology
 
 __all__ = [
@@ -108,8 +111,33 @@ class MultihopSimulationResult:
         return totals
 
 
+def _record_flow_delivery(
+    flow_metrics: FlowMetrics,
+    packet_bits: int,
+    payload: FlowPayload,
+    delay_ns: int,
+    hops: int,
+) -> None:
+    """An agent's delivery listener: a packet reached its flow's end.
+
+    A function over the flow table, not a method of the network, so
+    the agents never hold the network object and its finalizer can run.
+    Bits are credited here, not harvested later, so the counter
+    reflects exactly the packets recorded in this window.
+    """
+    flow_metrics.register(payload.flow_id, payload.src, payload.dst).record_delivery(
+        payload_bits=packet_bits, delay_ns=delay_ns, hops=hops
+    )
+
+
 class MultihopNetworkSimulation:
-    """One runnable multi-hop network instance."""
+    """One runnable multi-hop network instance.
+
+    Its parts (``sim``, ``channel``, ``macs`` and what hangs off them)
+    are torn down by :func:`~repro.net.network.close_stack` when this
+    object is collected, so hold the network while using them.  What
+    :meth:`run` returned stays valid.
+    """
 
     def __init__(
         self,
@@ -193,6 +221,10 @@ class MultihopNetworkSimulation:
                 tracer=self.tracer,
             )
 
+        weakref.finalize(
+            self, close_stack, self.sim, self.channel, self.macs.values()
+        )
+
         self.router: Router
         if router == "greedy":
             self.router = GreedyGeographicRouter(self.neighbor_tables)
@@ -206,7 +238,9 @@ class MultihopNetworkSimulation:
             agent = ForwardingAgent(
                 self.sim, mac, self.router, max_queue=relay_queue, ttl=ttl
             )
-            agent.delivery_listeners.append(self._on_flow_delivery)
+            agent.delivery_listeners.append(
+                partial(_record_flow_delivery, self.flow_metrics, packet_bytes * 8)
+            )
             self.agents[node_id] = agent
 
         # Flow sources: one per node with at least one far destination.
@@ -230,15 +264,6 @@ class MultihopNetworkSimulation:
                 packet_bytes=packet_bytes,
             )
         self._sent_baseline: dict[int, int] = {}
-
-    def _on_flow_delivery(self, payload, delay_ns: int, hops: int) -> None:
-        self.flow_metrics.register(
-            payload.flow_id, payload.src, payload.dst
-        ).record_delivery(payload_bits=0, delay_ns=delay_ns, hops=hops)
-        # Bits are credited here, not harvested later, so the counter
-        # reflects exactly the packets recorded in this window.
-        stats = self.flow_metrics[payload.flow_id]
-        stats.bits_delivered += self._packet_bits
 
     def run(
         self,
@@ -315,9 +340,3 @@ class MultihopNetworkSimulation:
             mac.stats.publish(metrics)
         for _node_id, agent in sorted(self.agents.items()):
             agent.stats.publish(metrics)
-
-    @property
-    def _packet_bits(self) -> int:
-        # All flows share one packet size; any source knows it.
-        source = next(iter(self.sources.values()))
-        return source.packet_bytes * 8

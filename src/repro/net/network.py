@@ -12,9 +12,10 @@ metrics of the innermost ``N`` nodes.
 from __future__ import annotations
 
 import math
+import weakref
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 from ..dessim.engine import Simulator
 
@@ -43,7 +44,25 @@ from ..phy.reception import PhyConfig
 from ..traffic.cbr import DEFAULT_PACKET_BYTES, CbrSource, SaturatedCbrSource
 from .topology import Topology
 
-__all__ = ["NetworkSimulation", "SimulationResult"]
+__all__ = ["NetworkSimulation", "SimulationResult", "close_stack"]
+
+
+def close_stack(sim: Simulator, channel: Channel, macs: Iterable[DcfMac]) -> None:
+    """Cut the reference cycles of one simulated stack (idempotent).
+
+    The calendar, the MACs' timers and listener lists, and the
+    radio/channel and radio/MAC back references tie a built stack into
+    cycles that only the cyclic garbage collector would free.  After
+    this, every part is freed by reference counting once the last
+    outside reference goes.  Results already taken stay valid: MAC
+    stats, channel stats and tracers are left untouched.  The network
+    classes run this when the network object is collected; a stack
+    wired by hand calls it when done.
+    """
+    sim.close()
+    for mac in macs:
+        mac.close()
+    channel.close()
 
 
 @dataclass(frozen=True)
@@ -89,7 +108,13 @@ class SimulationResult:
 
 
 class NetworkSimulation:
-    """One runnable network instance."""
+    """One runnable network instance.
+
+    Its parts (``sim``, ``channel``, ``macs`` and what hangs off them)
+    are torn down by :func:`~repro.net.network.close_stack` when this
+    object is collected, so hold the network while using them.  What
+    :meth:`run` returned stays valid.
+    """
 
     def __init__(
         self,
@@ -133,6 +158,10 @@ class NetworkSimulation:
             )
         if not 0.0 < beamwidth <= 2 * math.pi:
             raise ValueError(f"beamwidth must be in (0, 2*pi], got {beamwidth!r}")
+        if cbr_interval_ns is not None and cbr_interval_ns <= 0:
+            raise ValueError(
+                f"cbr_interval_ns must be positive or None, got {cbr_interval_ns}"
+            )
         self.topology = topology
         self.scheme = scheme
         self.beamwidth = beamwidth
@@ -168,10 +197,11 @@ class NetworkSimulation:
                 rng=self.rng.stream(f"mac-{node_id}"),
                 tracer=self.tracer,
             )
-        if cbr_interval_ns is not None and cbr_interval_ns <= 0:
-            raise ValueError(
-                f"cbr_interval_ns must be positive or None, got {cbr_interval_ns}"
-            )
+        # Torn down when this object is collected, not before: the
+        # finalizer holds the parts, never the network itself.
+        weakref.finalize(
+            self, close_stack, self.sim, self.channel, self.macs.values()
+        )
         # Traffic after all radios exist (neighbor sets are complete).
         for node_id, mac in self.macs.items():
             neighbors = self.channel.neighbors_of(node_id)

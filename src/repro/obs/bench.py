@@ -322,6 +322,7 @@ def _case_mobility_churn(sim_seconds: float) -> int:
     from ..mac.neighbors import SnapshotNeighborTable
     from ..mac.policy import POLICIES
     from ..net.mobility import RandomWaypointMobility
+    from ..net.network import close_stack
     from ..phy.channel import Channel
     from ..phy.propagation import Position, UnitDiskPropagation
     from ..phy.radio import Radio
@@ -375,6 +376,7 @@ def _case_mobility_churn(sim_seconds: float) -> int:
     sim.run(until=seconds(sim_seconds))
     assert channel.cache.move_seq > len(movers)
     assert sim.events_processed > 0
+    close_stack(sim, channel, macs.values())
     # Work unit: simulated nanoseconds (see _case_network_cell).
     return sim.now
 

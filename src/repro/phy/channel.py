@@ -149,6 +149,19 @@ class Channel:
         self._radios[radio.node_id] = radio
         self._cache.note_attached(radio.node_id)
 
+    def close(self) -> None:
+        """Detach every radio (idempotent).
+
+        Each radio holds this channel and the channel holds every radio
+        (the link cache shares the same table), so an open medium ties
+        the whole PHY into one reference cycle.  Closing closes the
+        radios and empties the table; the channel is not meant to be
+        used again.
+        """
+        for radio in self._radios.values():
+            radio.close()
+        self._radios.clear()
+
     @property
     def radios(self) -> dict[int, "Radio"]:
         """Attached radios keyed by node id (read-only view by convention)."""

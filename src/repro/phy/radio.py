@@ -131,6 +131,10 @@ class Radio:
         """Attach the MAC layer that consumes this radio's events."""
         self._mac = mac
 
+    def close(self) -> None:
+        """Detach the MAC, which holds this radio (idempotent)."""
+        self._mac = _NoMac(self.node_id)
+
     @property
     def position(self) -> Position:
         """Where this radio currently sits on the plane."""

@@ -16,7 +16,14 @@ this way use ``workers=1``.
 from heapq import heappop, heappush
 from typing import Any, Callable
 
-from repro.dessim.engine import _FIRED, _PENDING, Event, SimulationError, Simulator
+from repro.dessim.engine import (
+    _CLOSED_CALENDAR,
+    _FIRED,
+    _PENDING,
+    Event,
+    SimulationError,
+    Simulator,
+)
 
 
 class HeapSimulator(Simulator):
@@ -42,6 +49,7 @@ class HeapSimulator(Simulator):
             )
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past: delay={delay}")
+        self._check_open()
         time = self._now + delay
         seq = self._seq
         event = Event(time, seq, callback, args, self)
@@ -61,6 +69,7 @@ class HeapSimulator(Simulator):
             raise SimulationError(
                 f"cannot schedule at t={time} before now={self._now}"
             )
+        self._check_open()
         seq = self._seq
         event = Event(time, seq, callback, args, self)
         heappush(self._queue, (time, seq, event))
@@ -90,9 +99,18 @@ class HeapSimulator(Simulator):
         its thing)."""
         self.schedule(delay, callback, *args)
 
+    def close(self) -> None:
+        super().close()
+        self._queue = []
+
+    def _check_open(self) -> None:
+        if self._buckets is _CLOSED_CALENDAR:
+            raise SimulationError("simulator is closed")
+
     def step(self) -> bool:
         if self._running:
             raise SimulationError("cannot step() while run() is active")
+        self._check_open()
         queue = self._queue
         while queue:
             time, _seq, event = heappop(queue)
@@ -109,6 +127,7 @@ class HeapSimulator(Simulator):
     def run(self, until: int | None = None) -> None:
         if self._running:
             raise SimulationError("simulator is not reentrant")
+        self._check_open()
         if until is not None and until < self._now:
             raise SimulationError(
                 f"cannot run until t={until} before now={self._now}"
