@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from typing import ClassVar
 
-from .geometry import drts_dcts_areas
+from .geometry import _drts_dcts_area_tuple, distance_error
 from .schemes import CollisionAvoidanceScheme
 from .truncgeom import truncated_geometric_mean
 
@@ -61,7 +61,24 @@ class DrtsDcts(CollisionAvoidanceScheme):
                 "area3_span_factor must be in [1, 2], got "
                 f"{area3_span_factor!r}"
             )
-        self.area3_span_factor = area3_span_factor
+        self._area3_span_factor = area3_span_factor
+        # The r- and p-independent factors of P_I(r): Area III's beam
+        # span and each area's vulnerable window in slots.
+        self._terms = (
+            params.n_neighbors,
+            params.directional_fraction,
+            params.beamwidth,
+            min(area3_span_factor * params.beamwidth, 2.0 * math.pi),
+            2.0 * params.l_rts,
+            2.0 * params.l_rts + params.l_cts + params.l_data + params.l_ack + 4.0,
+            2.0 * params.l_rts + params.l_cts + params.l_ack + 2.0,
+            3.0 * params.l_rts + params.l_data + 2.0,
+        )
+
+    @property
+    def area3_span_factor(self) -> float:
+        """Area III's beam span as a multiple of ``theta`` (read-only)."""
+        return self._area3_span_factor
 
     def p_ww(self, p: float) -> float:
         """``P_ww = (1-p) * exp(-p' * N)`` with ``p' = p*theta/(2*pi)``.
@@ -76,25 +93,18 @@ class DrtsDcts(CollisionAvoidanceScheme):
     def interference_free_probability(self, r: float, p: float) -> float:
         """``P_I(r) = p1 * p2 * p3 * p4 * p5`` over the five areas."""
         self._check_p(p)
-        prm = self.params
-        n = prm.n_neighbors
-        p_dir = p * prm.directional_fraction
-        areas = drts_dcts_areas(r, prm.beamwidth)
-
-        p1 = math.exp(-p * areas.s1 * n)
-        p2 = math.exp(-p_dir * areas.s2 * n * (2.0 * prm.l_rts)) * math.exp(
-            -p * areas.s2 * n
+        if not 0.0 <= r <= 1.0:
+            raise distance_error(r)
+        n, fraction, theta, span, rts_window, whole, receiver_tx, sender_tx = (
+            self._terms
         )
-        whole_handshake = (
-            2.0 * prm.l_rts + prm.l_cts + prm.l_data + prm.l_ack + 4.0
-        )
-        span = min(self.area3_span_factor * prm.beamwidth, 2.0 * math.pi)
-        p_dir3 = p * span / (2.0 * math.pi)
-        p3 = math.exp(-p_dir3 * areas.s3 * n * whole_handshake)
-        receiver_tx = 2.0 * prm.l_rts + prm.l_cts + prm.l_ack + 2.0
-        p4 = math.exp(-p_dir * areas.s4 * n * receiver_tx)
-        sender_tx = 3.0 * prm.l_rts + prm.l_data + 2.0
-        p5 = math.exp(-p_dir * areas.s5 * n * sender_tx)
+        s1, s2, s3, s4, s5 = _drts_dcts_area_tuple(r, theta)
+        p_dir = p * fraction
+        p1 = math.exp(-p * s1 * n)
+        p2 = math.exp(-p_dir * s2 * n * rts_window) * math.exp(-p * s2 * n)
+        p3 = math.exp(-(p * span / (2.0 * math.pi)) * s3 * n * whole)
+        p4 = math.exp(-p_dir * s4 * n * receiver_tx)
+        p5 = math.exp(-p_dir * s5 * n * sender_tx)
         return p1 * p2 * p3 * p4 * p5
 
     def p_ws_at_distance(self, r: float, p: float) -> float:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from typing import ClassVar
 
-from .geometry import drts_octs_areas
+from .geometry import _drts_octs_area_tuple, distance_error
 from .schemes import CollisionAvoidanceScheme
 from .truncgeom import truncated_geometric_mean
 
@@ -35,6 +35,18 @@ class DrtsOcts(CollisionAvoidanceScheme):
 
     name: ClassVar[str] = "DRTS-OCTS"
     uses_directional_transmissions: ClassVar[bool] = True
+
+    def __init__(self, params) -> None:
+        super().__init__(params)
+        # The r- and p-independent factors of P_I(r): the RTS window and
+        # the receiver's CTS + ACK window, in slots.
+        self._terms = (
+            params.n_neighbors,
+            params.directional_fraction,
+            params.beamwidth,
+            2.0 * params.l_rts,
+            2.0 * params.l_rts + params.l_cts + params.l_ack + 2.0,
+        )
 
     def p_ww(self, p: float) -> float:
         """``P_ww = (1-p) * exp(-p*N)``.
@@ -49,17 +61,14 @@ class DrtsOcts(CollisionAvoidanceScheme):
     def interference_free_probability(self, r: float, p: float) -> float:
         """``P_I(r) = p1 * p2 * p3`` over the three areas of Section 2.3."""
         self._check_p(p)
-        prm = self.params
-        n = prm.n_neighbors
-        p_dir = p * prm.directional_fraction
-        areas = drts_octs_areas(r, prm.beamwidth)
-
-        p1 = math.exp(-p * areas.s1 * n)
-        p2 = math.exp(-p_dir * areas.s2 * n * (2.0 * prm.l_rts)) * math.exp(
-            -p * areas.s2 * n
-        )
-        receiver_tx = 2.0 * prm.l_rts + prm.l_cts + prm.l_ack + 2.0
-        p3 = math.exp(-p_dir * areas.s3 * n * receiver_tx)
+        if not 0.0 <= r <= 1.0:
+            raise distance_error(r)
+        n, fraction, theta, rts_window, receiver_tx = self._terms
+        s1, s2, s3 = _drts_octs_area_tuple(r, theta)
+        p_dir = p * fraction
+        p1 = math.exp(-p * s1 * n)
+        p2 = math.exp(-p_dir * s2 * n * rts_window) * math.exp(-p * s2 * n)
+        p3 = math.exp(-p_dir * s3 * n * receiver_tx)
         return p1 * p2 * p3
 
     def p_ws_at_distance(self, r: float, p: float) -> float:

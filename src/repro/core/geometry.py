@@ -62,10 +62,6 @@ def hidden_area(r: float) -> float:
     return 1.0 - disk_overlap_area(r)
 
 
-def _clamp(value: float, low: float, high: float) -> float:
-    return max(low, min(high, value))
-
-
 @dataclass(frozen=True)
 class DrtsDctsAreas:
     """The five-area decomposition around a DRTS-DCTS handshake (Fig. 3).
@@ -96,6 +92,47 @@ class DrtsDctsAreas:
         return (self.s1, self.s2, self.s3, self.s4, self.s5)
 
 
+def distance_error(r: float) -> ValueError:
+    """The error for a sender-receiver distance outside ``[0, 1]``.
+
+    Callers test ``0 <= r <= 1`` inline (it is on the quadrature's hot
+    path) and raise this.
+    """
+    return ValueError(f"distance r must be in [0, 1], got {r!r}")
+
+
+def _check_area_args(r: float, beamwidth: float) -> None:
+    if not 0.0 <= r <= 1.0:
+        raise distance_error(r)
+    if not 0.0 < beamwidth <= 2 * math.pi:
+        raise ValueError(f"beamwidth must be in (0, 2*pi], got {beamwidth!r}")
+
+
+def _drts_dcts_area_tuple(
+    r: float, theta: float
+) -> tuple[float, float, float, float, float]:
+    """Equation (4) at one point, unchecked: ``(s1, s2, s3, s4, s5)``.
+
+    The scheme integrand calls this once per quadrature point, so it
+    builds no result object and clamps inline (``max(0, min(1, x))``).
+    """
+    two_pi = 2.0 * math.pi
+    overlap = disk_overlap_area(r)  # 2 q(r/2) / pi, the lens
+    s1 = theta / two_pi
+    # tan(theta/2) blows up at theta = pi; treat the triangle correction
+    # term as saturated there (the sector fully covers the chord).
+    half = theta / 2.0
+    if half < math.pi / 2.0:
+        tri = (r * r) * math.tan(half) / two_pi
+        s2 = max(0.0, min(1.0, s1 - tri))
+        raw_s3 = overlap - theta / math.pi + tri
+    else:
+        s2 = 0.0
+        raw_s3 = overlap - theta / math.pi + s1
+    s4 = max(0.0, min(1.0, 1.0 - overlap))
+    return (s1, s2, max(0.0, min(1.0, raw_s3)), s4, s4)
+
+
 def drts_dcts_areas(r: float, beamwidth: float) -> DrtsDctsAreas:
     """Evaluate equation (4) of the paper with defensive clamping.
 
@@ -108,30 +145,8 @@ def drts_dcts_areas(r: float, beamwidth: float) -> DrtsDctsAreas:
         r: normalized sender-receiver distance in ``[0, 1]``.
         beamwidth: antenna beamwidth ``theta`` in radians, ``(0, 2*pi]``.
     """
-    if not 0.0 <= r <= 1.0:
-        raise ValueError(f"distance r must be in [0, 1], got {r!r}")
-    if not 0.0 < beamwidth <= 2 * math.pi:
-        raise ValueError(f"beamwidth must be in (0, 2*pi], got {beamwidth!r}")
-
-    theta = beamwidth
-    two_pi = 2.0 * math.pi
-    # tan(theta/2) blows up at theta = pi; treat the triangle correction
-    # term as saturated there (the sector fully covers the chord).
-    half = theta / 2.0
-    if half < math.pi / 2.0:
-        tri = (r * r) * math.tan(half) / two_pi
-    else:
-        tri = float("inf")
-
-    overlap = disk_overlap_area(r)  # 2 q(r/2) / pi
-
-    s1 = theta / two_pi
-    s2 = _clamp(theta / two_pi - tri if math.isfinite(tri) else 0.0, 0.0, 1.0)
-    raw_s3 = overlap - theta / math.pi + (tri if math.isfinite(tri) else theta / two_pi)
-    s3 = _clamp(raw_s3, 0.0, 1.0)
-    s4 = _clamp(1.0 - overlap, 0.0, 1.0)
-    s5 = s4
-    return DrtsDctsAreas(s1=s1, s2=s2, s3=s3, s4=s4, s5=s5)
+    _check_area_args(r, beamwidth)
+    return DrtsDctsAreas(*_drts_dcts_area_tuple(r, beamwidth))
 
 
 @dataclass(frozen=True)
@@ -153,6 +168,13 @@ class DrtsOctsAreas:
         return (self.s1, self.s2, self.s3)
 
 
+def _drts_octs_area_tuple(r: float, theta: float) -> tuple[float, float, float]:
+    """The Section 2.3 areas at one point, unchecked: ``(s1, s2, s3)``."""
+    s1 = theta / (2.0 * math.pi)
+    s2 = max(0.0, min(1.0, 1.0 - s1))
+    return (s1, s2, max(0.0, min(1.0, hidden_area(r))))
+
+
 def drts_octs_areas(r: float, beamwidth: float) -> DrtsOctsAreas:
     """Evaluate the Section 2.3 area decomposition.
 
@@ -160,13 +182,5 @@ def drts_octs_areas(r: float, beamwidth: float) -> DrtsOctsAreas:
         r: normalized sender-receiver distance in ``[0, 1]``.
         beamwidth: antenna beamwidth ``theta`` in radians, ``(0, 2*pi]``.
     """
-    if not 0.0 <= r <= 1.0:
-        raise ValueError(f"distance r must be in [0, 1], got {r!r}")
-    if not 0.0 < beamwidth <= 2 * math.pi:
-        raise ValueError(f"beamwidth must be in (0, 2*pi], got {beamwidth!r}")
-    theta = beamwidth
-    two_pi = 2.0 * math.pi
-    s1 = theta / two_pi
-    s2 = _clamp(1.0 - theta / two_pi, 0.0, 1.0)
-    s3 = _clamp(hidden_area(r), 0.0, 1.0)
-    return DrtsOctsAreas(s1=s1, s2=s2, s3=s3)
+    _check_area_args(r, beamwidth)
+    return DrtsOctsAreas(*_drts_octs_area_tuple(r, beamwidth))

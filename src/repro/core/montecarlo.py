@@ -27,7 +27,12 @@ from dataclasses import dataclass
 
 from .drts_dcts import DrtsDcts
 from .drts_octs import DrtsOcts
-from .geometry import drts_dcts_areas, drts_octs_areas, hidden_area
+from .geometry import (
+    distance_error,
+    drts_dcts_areas,
+    drts_octs_areas,
+    hidden_area,
+)
 from .orts_octs import OrtsOcts
 from .schemes import CollisionAvoidanceScheme
 
@@ -69,6 +74,8 @@ def constraints_for(
     Transcribed from the paper's text (Sections 2.1-2.3), not from the
     scheme classes, so tests comparing the two are meaningful.
     """
+    if not 0.0 <= r <= 1.0:
+        raise distance_error(r)
     prm = scheme.params
     p_dir = p * prm.beamwidth / (2 * math.pi)
     l_rts, l_cts = prm.l_rts, prm.l_cts
@@ -127,35 +134,69 @@ class MonteCarloEstimate:
         return abs(self.mean - reference) <= sigmas * self.std_error + slack
 
 
-def _region_silent(
+def _walk(
     rng: random.Random,
-    constraint: InterferenceConstraint,
-    n_neighbors: float,
-) -> bool:
-    """One Bernoulli sample of "the region stays silent long enough".
+    scheme: CollisionAvoidanceScheme,
+    p: float,
+    samples: int,
+    constraints: list[InterferenceConstraint] | None,
+) -> int:
+    """Count the successful samples of the slotted interference model.
 
-    Per the paper's slot-independence, every slot sees a fresh Poisson
-    field: draw the node count, then per-node transmission decisions.
+    Draw order, which tests and the bench goldens pin bit for bit: per
+    sample, one draw for "x transmits" (``< p``), one for "y stays
+    silent" (``>= p``), then, when ``constraints`` is None, one for the
+    receiver distance ``r = sqrt(U)``.  Then, constraint by constraint
+    and slot by slot, a Knuth Poisson node count (draws until their
+    running product falls to ``exp(-area * N)``) followed by one
+    Bernoulli transmit draw per node.  A region with ``area * N <= 0``
+    draws nothing, and the first transmitting node ends the sample.
     """
-    lam = constraint.area * n_neighbors
-    for _slot in range(constraint.slots):
-        count = _poisson(rng, lam)
-        for _node in range(count):
-            if rng.random() < constraint.tx_probability:
-                return False
-    return True
+    draw = rng.random
+    n = scheme.params.n_neighbors
+    successes = 0
+    for _ in range(samples):
+        if draw() >= p:  # x must transmit
+            continue
+        if draw() < p:  # y must stay silent
+            continue
+        rows = constraints
+        if rows is None:
+            rows = constraints_for(scheme, math.sqrt(draw()), p)
+        silent = True
+        for row in rows:
+            lam = row.area * n
+            if lam <= 0:
+                continue
+            threshold = math.exp(-lam)
+            tx_probability = row.tx_probability
+            for _slot in range(row.slots):
+                # A fresh Poisson field per slot (slot independence);
+                # mostly the first draw already says "no node".
+                product = draw()
+                if product > threshold:
+                    count = 1
+                    product *= draw()
+                    while product > threshold:
+                        count += 1
+                        product *= draw()
+                    for _node in range(count):
+                        if draw() < tx_probability:
+                            silent = False
+                            break
+                    if not silent:
+                        break
+            if not silent:
+                break
+        if silent:
+            successes += 1
+    return successes
 
 
-def _poisson(rng: random.Random, lam: float) -> int:
-    """Knuth's Poisson sampler (lambda is always small here)."""
-    if lam <= 0:
-        return 0
-    threshold = math.exp(-lam)
-    count, product = 0, rng.random()
-    while product > threshold:
-        count += 1
-        product *= rng.random()
-    return count
+def _estimate(successes: int, samples: int) -> MonteCarloEstimate:
+    mean = successes / samples
+    std_error = math.sqrt(max(mean * (1 - mean), 1e-12) / samples)
+    return MonteCarloEstimate(mean=mean, std_error=std_error, samples=samples)
 
 
 def estimate_p_ws_at_distance(
@@ -169,18 +210,7 @@ def estimate_p_ws_at_distance(
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     constraints = constraints_for(scheme, r, p)
-    n = scheme.params.n_neighbors
-    successes = 0
-    for _ in range(samples):
-        if rng.random() >= p:  # x must transmit
-            continue
-        if rng.random() < p:  # y must stay silent
-            continue
-        if all(_region_silent(rng, c, n) for c in constraints):
-            successes += 1
-    mean = successes / samples
-    std_error = math.sqrt(max(mean * (1 - mean), 1e-12) / samples)
-    return MonteCarloEstimate(mean=mean, std_error=std_error, samples=samples)
+    return _estimate(_walk(rng, scheme, p, samples, constraints), samples)
 
 
 def estimate_p_ws(
@@ -196,20 +226,7 @@ def estimate_p_ws(
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    n = scheme.params.n_neighbors
-    successes = 0
-    for _ in range(samples):
-        if rng.random() >= p:
-            continue
-        if rng.random() < p:
-            continue
-        r = math.sqrt(rng.random())
-        constraints = constraints_for(scheme, r, p)
-        if all(_region_silent(rng, c, n) for c in constraints):
-            successes += 1
-    mean = successes / samples
-    std_error = math.sqrt(max(mean * (1 - mean), 1e-12) / samples)
-    return MonteCarloEstimate(mean=mean, std_error=std_error, samples=samples)
+    return _estimate(_walk(rng, scheme, p, samples, None), samples)
 
 
 def simulate_node_chain(
@@ -231,15 +248,21 @@ def simulate_node_chain(
     t_succeed = scheme.t_succeed()
     t_fail = scheme.t_fail(p)
 
+    draw = rng.random
+    l_data = scheme.params.l_data
+    wait_or_succeed = p_ww + p_ws
+    succeed_slots = 1.0 + t_succeed  # wait slot + handshake
+    fail_slots = 1.0 + t_fail
+
     total_time = 0.0
     payload_time = 0.0
     for _ in range(transitions):
-        draw = rng.random()
-        if draw < p_ww:
+        u = draw()
+        if u < p_ww:
             total_time += 1.0  # stay in wait one slot
-        elif draw < p_ww + p_ws:
-            total_time += 1.0 + t_succeed  # wait slot + handshake
-            payload_time += scheme.params.l_data
+        elif u < wait_or_succeed:
+            total_time += succeed_slots
+            payload_time += l_data
         else:
-            total_time += 1.0 + t_fail
+            total_time += fail_slots
     return payload_time / total_time

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from typing import ClassVar
 
-from .geometry import hidden_area
+from .geometry import distance_error, hidden_area
 from .schemes import CollisionAvoidanceScheme
 
 __all__ = ["OrtsOcts"]
@@ -42,6 +42,8 @@ class OrtsOcts(CollisionAvoidanceScheme):
     def p_ws_at_distance(self, r: float, p: float) -> float:
         """``P_ws(r) = P1 * P2 * P3 * P4(r)`` from Section 2.1."""
         self._check_p(p)
+        if not 0.0 <= r <= 1.0:
+            raise distance_error(r)
         n = self.params.n_neighbors
         p1 = p                               # x transmits
         p2 = 1.0 - p                         # y silent

@@ -39,7 +39,16 @@ class CollisionAvoidanceScheme(abc.ABC):
     uses_directional_transmissions: ClassVar[bool] = False
 
     def __init__(self, params: ProtocolParameters) -> None:
-        self.params = params
+        self._params = params
+
+    @property
+    def params(self) -> ProtocolParameters:
+        """The protocol parameters, fixed at construction.
+
+        Read-only: the schemes hoist terms derived from them out of the
+        per-distance integrand.
+        """
+        return self._params
 
     # ------------------------------------------------------------------
     # Scheme-specific pieces.
@@ -75,9 +84,9 @@ class CollisionAvoidanceScheme(abc.ABC):
         chosen neighbor inside the unit disk.
         """
         self._check_p(p)
+        at_distance = self.p_ws_at_distance
         value, _abserr = integrate.quad(
-            lambda r: 2.0 * r * self.p_ws_at_distance(r, p), 0.0, 1.0,
-            limit=100,
+            lambda r: 2.0 * r * at_distance(r, p), 0.0, 1.0, limit=100
         )
         # Guard against tiny negative values from quadrature noise.
         return min(max(value, 0.0), 1.0)

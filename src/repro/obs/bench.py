@@ -5,8 +5,9 @@ event kernel, the slotsim Monte-Carlo loop (one replicate on a small
 torus, and a batch at ~10^4 nodes), a saturated network cell,
 a ~200-node directional cell (the link-cache transmit scan), the same
 cell under SINR/capture reception (the reception-subsystem hot path),
-a mobility-churn case (link-cache invalidation), and a routed
-multi-hop cell (the relay plane) — and writes a
+a mobility-churn case (link-cache invalidation), a routed
+multi-hop cell (the relay plane), and one Fig. 5 point of the
+analytical model (quadrature and Monte-Carlo sampler) — and writes a
 schema-versioned ``BENCH_telemetry.json`` snapshot.  ``--check`` compares the snapshot against a committed
 baseline (``benchmarks/baselines/bench_baseline.json``) and exits
 non-zero on a >tolerance regression; that exit code *is* the CI
@@ -381,6 +382,29 @@ def _case_mobility_churn(sim_seconds: float) -> int:
     return sim.now
 
 
+def _case_analytic_point() -> int:
+    """The slowest op of the repository bench's analytic block.
+
+    One dense Fig. 5 point of DRTS-DCTS (N = 7, theta = 5 degrees):
+    ``maximize_throughput`` (a few dozen quadratures of the
+    per-distance integrand), then 20,000 Monte-Carlo samples of
+    ``P_ws`` at the optimum (the sampler's slot walker).  The case
+    moves when either hot path of the analytic core regresses.  Work
+    unit: Monte-Carlo samples.
+    """
+    from ..core import PAPER_PARAMETERS, DrtsDcts, estimate_p_ws, maximize_throughput
+    from ..dessim.rng import RngRegistry
+
+    scheme = DrtsDcts(
+        PAPER_PARAMETERS.with_neighbors(7.0).with_beamwidth(math.radians(5.0))
+    )
+    optimum = maximize_throughput(scheme)
+    rng = RngRegistry(7).stream("montecarlo")
+    estimate = estimate_p_ws(scheme, optimum.p_opt, rng, samples=20_000)
+    assert 0.0 < estimate.mean < 1.0
+    return estimate.samples
+
+
 def _case_lint_full_tree() -> int:
     """Cold + warm whole-repo lint: the incremental-cache bench.
 
@@ -462,6 +486,7 @@ def run_suite(
         ("mobility_churn", lambda: _case_mobility_churn(network_sim_seconds)),
         ("multihop_medium", lambda: _case_multihop_medium(network_sim_seconds)),
         ("lint_full_tree", _case_lint_full_tree),
+        ("analytic_point", _case_analytic_point),
     )
     for name, fn in suite:
         cases[name] = _timed(fn, repeats)

@@ -44,6 +44,7 @@ class TestRunSuite:
             "mobility_churn",
             "multihop_medium",
             "lint_full_tree",
+            "analytic_point",
         }
         for case in payload["cases"].values():
             assert case["count"] > 0
