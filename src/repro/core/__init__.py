@@ -31,9 +31,7 @@ from .geometry import (
 )
 from .markov import StationaryDistribution, solve_node_chain, stationary_from_matrix
 from .montecarlo import (
-    InterferenceConstraint,
     MonteCarloEstimate,
-    constraints_for,
     estimate_p_ws,
     estimate_p_ws_at_distance,
     simulate_node_chain,
@@ -79,9 +77,7 @@ __all__ = [
     "ChannelFeedback",
     "airtime_fraction",
     "attempt_probability",
-    "InterferenceConstraint",
     "MonteCarloEstimate",
-    "constraints_for",
     "estimate_p_ws",
     "estimate_p_ws_at_distance",
     "simulate_node_chain",

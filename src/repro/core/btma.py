@@ -25,11 +25,10 @@ that long data packets justify an RTS/CTS handshake.
 
 from __future__ import annotations
 
-import math
 from typing import ClassVar
 
-from .geometry import hidden_area
-from .schemes import CollisionAvoidanceScheme
+from .geometry import _omni_area_tuple
+from .schemes import OMNI, CollisionAvoidanceScheme, ConstraintTable
 
 __all__ = ["IdealizedBtma"]
 
@@ -40,25 +39,16 @@ class IdealizedBtma(CollisionAvoidanceScheme):
     name: ClassVar[str] = "BTMA-ideal"
     uses_directional_transmissions: ClassVar[bool] = False
 
+    def __init__(self, params) -> None:
+        super().__init__(params)
+        # One vulnerable slot each at the neighborhood and B(r).
+        self._table = ConstraintTable(
+            _omni_area_tuple, (((1.0, OMNI),), ((1.0, OMNI),))
+        )
+
     def t_succeed(self) -> float:
         """Data plus ACK, each with one turnaround slot (no handshake)."""
         return self.params.l_data + self.params.l_ack + 2.0
-
-    def p_ww(self, p: float) -> float:
-        """Same neighborhood-silence expression as the omni schemes."""
-        self._check_p(p)
-        return (1.0 - p) * math.exp(-p * self.params.n_neighbors)
-
-    def p_ws_at_distance(self, r: float, p: float) -> float:
-        """One vulnerable slot each at the neighborhood and ``B(r)``."""
-        self._check_p(p)
-        n = self.params.n_neighbors
-        return (
-            p
-            * (1.0 - p)
-            * math.exp(-p * n)          # sender's neighborhood, 1 slot
-            * math.exp(-p * n * hidden_area(r))  # hidden region, 1 slot
-        )
 
     def t_fail(self, p: float) -> float:
         """A failed transmission wastes the whole data frame."""

@@ -20,11 +20,10 @@ packet itself:
 
 from __future__ import annotations
 
-import math
 from typing import ClassVar
 
-from .geometry import hidden_area
-from .schemes import CollisionAvoidanceScheme
+from .geometry import _omni_area_tuple
+from .schemes import OMNI, CollisionAvoidanceScheme, ConstraintTable
 
 __all__ = ["NonPersistentCsma"]
 
@@ -35,26 +34,17 @@ class NonPersistentCsma(CollisionAvoidanceScheme):
     name: ClassVar[str] = "NP-CSMA"
     uses_directional_transmissions: ClassVar[bool] = False
 
+    def __init__(self, params) -> None:
+        super().__init__(params)
+        # The entire data frame is the vulnerable period.
+        self._table = ConstraintTable(
+            _omni_area_tuple,
+            (((1.0, OMNI),), ((2.0 * params.l_data + 1.0, OMNI),)),
+        )
+
     def t_succeed(self) -> float:
         """Data plus ACK, each with one turnaround slot."""
         return self.params.l_data + self.params.l_ack + 2.0
-
-    def p_ww(self, p: float) -> float:
-        """Same neighborhood-silence expression as ORTS-OCTS."""
-        self._check_p(p)
-        return (1.0 - p) * math.exp(-p * self.params.n_neighbors)
-
-    def p_ws_at_distance(self, r: float, p: float) -> float:
-        """The entire data frame is the vulnerable period."""
-        self._check_p(p)
-        n = self.params.n_neighbors
-        vulnerable = 2.0 * self.params.l_data + 1.0
-        return (
-            p
-            * (1.0 - p)
-            * math.exp(-p * n)
-            * math.exp(-p * n * hidden_area(r) * vulnerable)
-        )
 
     def t_fail(self, p: float) -> float:
         """A failed transmission wastes the whole data frame."""

@@ -29,10 +29,11 @@ mean of a geometric distribution truncated to
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import ClassVar
 
-from .geometry import _drts_dcts_area_tuple, distance_error
-from .schemes import CollisionAvoidanceScheme
+from .geometry import _drts_dcts_area_tuple
+from .schemes import BEAM, OMNI, SPAN, CollisionAvoidanceScheme, ConstraintTable
 from .truncgeom import truncated_geometric_mean
 
 __all__ = ["DrtsDcts"]
@@ -62,17 +63,19 @@ class DrtsDcts(CollisionAvoidanceScheme):
                 f"{area3_span_factor!r}"
             )
         self._area3_span_factor = area3_span_factor
-        # The r- and p-independent factors of P_I(r): Area III's beam
-        # span and each area's vulnerable window in slots.
-        self._terms = (
-            params.n_neighbors,
-            params.directional_fraction,
-            params.beamwidth,
-            min(area3_span_factor * params.beamwidth, 2.0 * math.pi),
-            2.0 * params.l_rts,
-            2.0 * params.l_rts + params.l_cts + params.l_data + params.l_ack + 4.0,
-            2.0 * params.l_rts + params.l_cts + params.l_ack + 2.0,
-            3.0 * params.l_rts + params.l_data + 2.0,
+        l_rts, l_cts = params.l_rts, params.l_cts
+        l_data, l_ack = params.l_data, params.l_ack
+        self._table = ConstraintTable(
+            partial(_drts_dcts_area_tuple, params.beamwidth),
+            (
+                ((1.0, OMNI),),  # Area I
+                ((2.0 * l_rts, BEAM), (1.0, OMNI)),  # Area II
+                ((2.0 * l_rts + l_cts + l_data + l_ack + 4.0, SPAN),),  # Area III
+                ((2.0 * l_rts + l_cts + l_ack + 2.0, BEAM),),  # Area IV
+                ((3.0 * l_rts + l_data + 2.0, BEAM),),  # Area V
+            ),
+            # Area III's beams span theta' = factor * theta.
+            span=min(area3_span_factor * params.beamwidth, 2.0 * math.pi),
         )
 
     @property
@@ -89,27 +92,6 @@ class DrtsDcts(CollisionAvoidanceScheme):
         self._check_p(p)
         p_directional = p * self.params.directional_fraction
         return (1.0 - p) * math.exp(-p_directional * self.params.n_neighbors)
-
-    def interference_free_probability(self, r: float, p: float) -> float:
-        """``P_I(r) = p1 * p2 * p3 * p4 * p5`` over the five areas."""
-        self._check_p(p)
-        if not 0.0 <= r <= 1.0:
-            raise distance_error(r)
-        n, fraction, theta, span, rts_window, whole, receiver_tx, sender_tx = (
-            self._terms
-        )
-        s1, s2, s3, s4, s5 = _drts_dcts_area_tuple(r, theta)
-        p_dir = p * fraction
-        p1 = math.exp(-p * s1 * n)
-        p2 = math.exp(-p_dir * s2 * n * rts_window) * math.exp(-p * s2 * n)
-        p3 = math.exp(-(p * span / (2.0 * math.pi)) * s3 * n * whole)
-        p4 = math.exp(-p_dir * s4 * n * receiver_tx)
-        p5 = math.exp(-p_dir * s5 * n * sender_tx)
-        return p1 * p2 * p3 * p4 * p5
-
-    def p_ws_at_distance(self, r: float, p: float) -> float:
-        """``P_ws(r) = p * (1-p) * P_I(r)``."""
-        return p * (1.0 - p) * self.interference_free_probability(r, p)
 
     def t_fail(self, p: float) -> float:
         """Mean of the truncated geometric failed period (equation (3))."""

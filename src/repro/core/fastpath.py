@@ -18,69 +18,11 @@ import math
 
 import numpy as np
 
-from .drts_dcts import DrtsDcts
-from .drts_octs import DrtsOcts
-from .geometry import drts_dcts_areas, drts_octs_areas, hidden_area
-from .orts_octs import OrtsOcts
-from .params import ProtocolParameters
-from .schemes import CollisionAvoidanceScheme
-from .truncgeom import truncated_geometric_mean
+from .schemes import OMNI, SPAN, CollisionAvoidanceScheme
 
 __all__ = ["throughput_curve", "p_ws_curve"]
 
 _R_GRID_POINTS = 257
-
-
-def _area_vectors(scheme: CollisionAvoidanceScheme, r: np.ndarray):
-    """Per-scheme (areas, slot-weights, uses-thinned-probability) rows.
-
-    Each constraint contributes ``exp(-q_i * S_i(r) * N * d_i)`` where
-    ``q_i`` is ``p`` or ``p' = p*theta/2pi``.  Returns a list of
-    ``(S_i(r) vector, d_i, thinned?)`` rows.
-    """
-    prm = scheme.params
-    l_rts, l_cts = prm.l_rts, prm.l_cts
-    l_data, l_ack = prm.l_data, prm.l_ack
-    if isinstance(scheme, OrtsOcts):
-        b = np.array([hidden_area(float(x)) for x in r])
-        return [
-            (np.ones_like(r), 1.0, False),
-            (b, 2 * l_rts + 1, False),
-        ]
-    if isinstance(scheme, DrtsOcts):
-        s1 = np.empty_like(r)
-        s2 = np.empty_like(r)
-        s3 = np.empty_like(r)
-        for k, x in enumerate(r):
-            areas = drts_octs_areas(float(x), prm.beamwidth)
-            s1[k], s2[k], s3[k] = areas.as_tuple()
-        return [
-            (s1, 1.0, False),
-            (s2, 2 * l_rts, True),
-            (s2, 1.0, False),
-            (s3, 2 * l_rts + l_cts + l_ack + 2, True),
-        ]
-    if isinstance(scheme, DrtsDcts):
-        s = [np.empty_like(r) for _ in range(5)]
-        for k, x in enumerate(r):
-            areas = drts_dcts_areas(float(x), prm.beamwidth)
-            for idx, value in enumerate(areas.as_tuple()):
-                s[idx][k] = value
-        span = min(scheme.area3_span_factor * prm.beamwidth, 2 * math.pi)
-        span_ratio = span / prm.beamwidth  # p'' = p' * span_ratio
-        return [
-            (s[0], 1.0, False),
-            (s[1], 2 * l_rts, True),
-            (s[1], 1.0, False),
-            (
-                s[2] * span_ratio,
-                2 * l_rts + l_cts + l_data + l_ack + 4,
-                True,
-            ),
-            (s[3], 2 * l_rts + l_cts + l_ack + 2, True),
-            (s[4], 3 * l_rts + l_data + 2, True),
-        ]
-    raise TypeError(f"no fast path for {type(scheme).__name__}")
 
 
 def p_ws_curve(
@@ -92,17 +34,22 @@ def p_ws_curve(
         raise ValueError("p_values must be a non-empty 1-D array")
     if (p <= 0).any() or (p >= 1).any():
         raise ValueError("all p values must lie in (0, 1)")
+    table = scheme.constraint_table
     prm = scheme.params
     n = prm.n_neighbors
     frac = prm.beamwidth / (2 * math.pi)
     r = np.linspace(0.0, 1.0, _R_GRID_POINTS)
-    rows = _area_vectors(scheme, r)
+    # One column per area, point by point from the scalar area function
+    # (numpy's transcendentals need not match math's bit for bit).
+    columns = np.array([table.areas(float(x)) for x in r]).T
+    span_ratio = table.span / prm.beamwidth  # p * span/2pi = p * frac * ratio
 
-    # exponent[j, k] = sum_i q_factor_i * S_i(r_k) * N * d_i, with
-    # q_factor in {p_j, p_j * frac}.
+    # exponent[j, k] = sum over windows of q_j * S_i(r_k) * N * d, with
+    # q_j in {p_j, p_j * frac} and a span window's area scaled by ratio.
     base = np.zeros((p.size, r.size))
-    for area, slots, thinned in rows:
-        q = p * frac if thinned else p
+    for index, slots, thinning, _closes in table.rows:
+        q = p if thinning == OMNI else p * frac
+        area = columns[index] * span_ratio if thinning == SPAN else columns[index]
         base += np.outer(q, area * (n * slots))
     integrand = 2.0 * r * np.exp(-base)  # shape (len(p), len(r))
     trapezoid = getattr(np, "trapezoid", None) or np.trapz  # numpy 1.x/2.x

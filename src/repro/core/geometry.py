@@ -62,6 +62,11 @@ def hidden_area(r: float) -> float:
     return 1.0 - disk_overlap_area(r)
 
 
+def _omni_area_tuple(r: float) -> tuple[float, float]:
+    """The omni schemes' areas, unchecked: the sender's disk and ``B(r)``."""
+    return (1.0, hidden_area(r))
+
+
 @dataclass(frozen=True)
 class DrtsDctsAreas:
     """The five-area decomposition around a DRTS-DCTS handshake (Fig. 3).
@@ -109,7 +114,7 @@ def _check_area_args(r: float, beamwidth: float) -> None:
 
 
 def _drts_dcts_area_tuple(
-    r: float, theta: float
+    theta: float, r: float
 ) -> tuple[float, float, float, float, float]:
     """Equation (4) at one point, unchecked: ``(s1, s2, s3, s4, s5)``.
 
@@ -146,7 +151,7 @@ def drts_dcts_areas(r: float, beamwidth: float) -> DrtsDctsAreas:
         beamwidth: antenna beamwidth ``theta`` in radians, ``(0, 2*pi]``.
     """
     _check_area_args(r, beamwidth)
-    return DrtsDctsAreas(*_drts_dcts_area_tuple(r, beamwidth))
+    return DrtsDctsAreas(*_drts_dcts_area_tuple(beamwidth, r))
 
 
 @dataclass(frozen=True)
@@ -168,7 +173,7 @@ class DrtsOctsAreas:
         return (self.s1, self.s2, self.s3)
 
 
-def _drts_octs_area_tuple(r: float, theta: float) -> tuple[float, float, float]:
+def _drts_octs_area_tuple(theta: float, r: float) -> tuple[float, float, float]:
     """The Section 2.3 areas at one point, unchecked: ``(s1, s2, s3)``."""
     s1 = theta / (2.0 * math.pi)
     s2 = max(0.0, min(1.0, 1.0 - s1))
@@ -183,4 +188,4 @@ def drts_octs_areas(r: float, beamwidth: float) -> DrtsOctsAreas:
         beamwidth: antenna beamwidth ``theta`` in radians, ``(0, 2*pi]``.
     """
     _check_area_args(r, beamwidth)
-    return DrtsOctsAreas(*_drts_octs_area_tuple(r, beamwidth))
+    return DrtsOctsAreas(*_drts_octs_area_tuple(beamwidth, r))

@@ -1,22 +1,24 @@
 """Monte-Carlo validation of the analytical model.
 
-Two independent re-encodings of Section 2 that must agree with the
-closed forms — used by tests and a bench to guard against algebra
-errors in areas, durations and thinning probabilities:
+Two re-evaluations of Section 2 that must agree with the closed forms
+— used by tests and a bench to guard against algebra errors in the
+evaluation of areas, durations and thinning probabilities:
 
 1. :func:`estimate_p_ws_at_distance` — samples the paper's slotted
-   interference model directly: for every interference constraint
-   (region, per-slot transmit probability, duration) it draws a fresh
-   Poisson node count per slot and Bernoulli transmission decisions per
-   node, exactly mirroring the model's slot-independence assumption.
-   The closed form multiplies ``exp(-q * S * N * d)`` terms; the
-   sampler never sees an exponential.
+   interference model directly: for every window of the scheme's
+   constraint table (region, per-slot transmit probability, duration)
+   it draws a fresh Poisson node count per slot and Bernoulli
+   transmission decisions per node, exactly mirroring the model's
+   slot-independence assumption.  The closed form multiplies
+   ``exp(-q * S * N * d)`` terms; the sampler never sees an exponential
+   of a window.
 2. :func:`simulate_node_chain` — walks the wait/succeed/fail chain for
    many transitions and measures renewal-reward throughput, which must
    match the ``Th`` formula.
 
-The constraint tables below are written from the paper's Section 2
-text, deliberately *not* derived from the scheme classes.
+The sampler reads the same constraint table as the closed form; the
+table itself is checked against an independent transcription of the
+paper's Section 2 text, ``tests/core/paper_constraints.py``.
 """
 
 from __future__ import annotations
@@ -25,20 +27,10 @@ import math
 import random
 from dataclasses import dataclass
 
-from .drts_dcts import DrtsDcts
-from .drts_octs import DrtsOcts
-from .geometry import (
-    distance_error,
-    drts_dcts_areas,
-    drts_octs_areas,
-    hidden_area,
-)
-from .orts_octs import OrtsOcts
-from .schemes import CollisionAvoidanceScheme
+from .geometry import distance_error
+from .schemes import BEAM, OMNI, SPAN, CollisionAvoidanceScheme
 
 __all__ = [
-    "InterferenceConstraint",
-    "constraints_for",
     "estimate_p_ws_at_distance",
     "estimate_p_ws",
     "simulate_node_chain",
@@ -46,79 +38,25 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class InterferenceConstraint:
-    """"No node in ``area`` transmits (w.p. ``tx_probability`` per slot)
-    for ``slots`` consecutive slots"."""
+def _sampler_rows(
+    scheme: CollisionAvoidanceScheme, p: float
+) -> list[tuple[int, float, int]]:
+    """The table's windows as ``(area index, tx probability, slots)``.
 
-    area: float
-    tx_probability: float
-    slots: int
-
-    def __post_init__(self) -> None:
-        if self.area < 0:
-            raise ValueError(f"area must be >= 0, got {self.area}")
-        if not 0 <= self.tx_probability <= 1:
-            raise ValueError(
-                f"tx_probability must be in [0,1], got {self.tx_probability}"
-            )
-        if self.slots < 0:
-            raise ValueError(f"slots must be >= 0, got {self.slots}")
-
-
-def constraints_for(
-    scheme: CollisionAvoidanceScheme, r: float, p: float
-) -> list[InterferenceConstraint]:
-    """The Section-2 interference constraints for one scheme at distance ``r``.
-
-    Transcribed from the paper's text (Sections 2.1-2.3), not from the
-    scheme classes, so tests comparing the two are meaningful.
+    A beam covers a victim with probability ``theta / (2*pi)`` (Area
+    III's with ``span / (2*pi)``).  Raises ``TypeError`` for a scheme
+    without a table.
     """
-    if not 0.0 <= r <= 1.0:
-        raise distance_error(r)
-    prm = scheme.params
-    p_dir = p * prm.beamwidth / (2 * math.pi)
-    l_rts, l_cts = prm.l_rts, prm.l_cts
-    l_data, l_ack = prm.l_data, prm.l_ack
-
-    if isinstance(scheme, OrtsOcts):
-        return [
-            # "none of the nodes within R of x transmits in the same slot"
-            InterferenceConstraint(1.0, p, 1),
-            # "none of the nodes in B(r) transmits for (2 l_rts + 1) slots"
-            InterferenceConstraint(hidden_area(r), p, int(2 * l_rts + 1)),
-        ]
-    if isinstance(scheme, DrtsOcts):
-        areas = drts_octs_areas(r, prm.beamwidth)
-        return [
-            InterferenceConstraint(areas.s1, p, 1),
-            InterferenceConstraint(areas.s2, p_dir, int(2 * l_rts)),
-            InterferenceConstraint(areas.s2, p, 1),
-            InterferenceConstraint(
-                areas.s3, p_dir, int(2 * l_rts + l_cts + l_ack + 2)
-            ),
-        ]
-    if isinstance(scheme, DrtsDcts):
-        areas = drts_dcts_areas(r, prm.beamwidth)
-        # Area III's beams span theta' = factor * theta (the paper picks 1).
-        span = min(scheme.area3_span_factor * prm.beamwidth, 2 * math.pi)
-        return [
-            InterferenceConstraint(areas.s1, p, 1),
-            InterferenceConstraint(areas.s2, p_dir, int(2 * l_rts)),
-            InterferenceConstraint(areas.s2, p, 1),
-            InterferenceConstraint(
-                areas.s3,
-                p * span / (2 * math.pi),
-                int(2 * l_rts + l_cts + l_data + l_ack + 4),
-            ),
-            InterferenceConstraint(
-                areas.s4, p_dir, int(2 * l_rts + l_cts + l_ack + 2)
-            ),
-            InterferenceConstraint(
-                areas.s5, p_dir, int(3 * l_rts + l_data + 2)
-            ),
-        ]
-    raise TypeError(f"no constraint table for {type(scheme).__name__}")
+    table = scheme.constraint_table
+    tx_probability = {
+        OMNI: p,
+        BEAM: p * scheme.params.beamwidth / (2 * math.pi),
+        SPAN: p * table.span / (2 * math.pi),
+    }
+    return [
+        (index, tx_probability[thinning], int(slots))
+        for index, slots, thinning, _closes in table.rows
+    ]
 
 
 @dataclass(frozen=True)
@@ -139,19 +77,22 @@ def _walk(
     scheme: CollisionAvoidanceScheme,
     p: float,
     samples: int,
-    constraints: list[InterferenceConstraint] | None,
+    r: float | None,
 ) -> int:
     """Count the successful samples of the slotted interference model.
 
     Draw order, which tests and the bench goldens pin bit for bit: per
     sample, one draw for "x transmits" (``< p``), one for "y stays
-    silent" (``>= p``), then, when ``constraints`` is None, one for the
-    receiver distance ``r = sqrt(U)``.  Then, constraint by constraint
-    and slot by slot, a Knuth Poisson node count (draws until their
-    running product falls to ``exp(-area * N)``) followed by one
-    Bernoulli transmit draw per node.  A region with ``area * N <= 0``
-    draws nothing, and the first transmitting node ends the sample.
+    silent" (``>= p``), then, when ``r`` is None, one for the receiver
+    distance ``r = sqrt(U)``.  Then, window by window of the table and
+    slot by slot, a Knuth Poisson node count (draws until their running
+    product falls to ``exp(-area * N)``) followed by one Bernoulli
+    transmit draw per node.  A region with ``area * N <= 0`` draws
+    nothing, and the first transmitting node ends the sample.
     """
+    rows = _sampler_rows(scheme, p)
+    areas = scheme.constraint_table.areas
+    fixed = None if r is None else areas(r)
     draw = rng.random
     n = scheme.params.n_neighbors
     successes = 0
@@ -160,17 +101,16 @@ def _walk(
             continue
         if draw() < p:  # y must stay silent
             continue
-        rows = constraints
-        if rows is None:
-            rows = constraints_for(scheme, math.sqrt(draw()), p)
+        s = fixed
+        if s is None:
+            s = areas(math.sqrt(draw()))
         silent = True
-        for row in rows:
-            lam = row.area * n
+        for index, tx_probability, slots in rows:
+            lam = s[index] * n
             if lam <= 0:
                 continue
             threshold = math.exp(-lam)
-            tx_probability = row.tx_probability
-            for _slot in range(row.slots):
+            for _slot in range(slots):
                 # A fresh Poisson field per slot (slot independence);
                 # mostly the first draw already says "no node".
                 product = draw()
@@ -209,8 +149,9 @@ def estimate_p_ws_at_distance(
     """Monte-Carlo estimate of ``P_ws(r)`` for one scheme."""
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    constraints = constraints_for(scheme, r, p)
-    return _estimate(_walk(rng, scheme, p, samples, constraints), samples)
+    if not 0.0 <= r <= 1.0:
+        raise distance_error(r)
+    return _estimate(_walk(rng, scheme, p, samples, r), samples)
 
 
 def estimate_p_ws(

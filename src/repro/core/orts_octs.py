@@ -15,11 +15,10 @@ Failed handshakes always cost ``l_rts + l_cts + 2`` slots.
 
 from __future__ import annotations
 
-import math
 from typing import ClassVar
 
-from .geometry import distance_error, hidden_area
-from .schemes import CollisionAvoidanceScheme
+from .geometry import _omni_area_tuple
+from .schemes import OMNI, CollisionAvoidanceScheme, ConstraintTable
 
 __all__ = ["OrtsOcts"]
 
@@ -30,27 +29,14 @@ class OrtsOcts(CollisionAvoidanceScheme):
     name: ClassVar[str] = "ORTS-OCTS"
     uses_directional_transmissions: ClassVar[bool] = False
 
-    def p_ww(self, p: float) -> float:
-        """``P_ww = (1-p) * exp(-p*N)``.
-
-        The node itself stays silent and none of its (Poisson many)
-        neighbors starts transmitting.
-        """
-        self._check_p(p)
-        return (1.0 - p) * math.exp(-p * self.params.n_neighbors)
-
-    def p_ws_at_distance(self, r: float, p: float) -> float:
-        """``P_ws(r) = P1 * P2 * P3 * P4(r)`` from Section 2.1."""
-        self._check_p(p)
-        if not 0.0 <= r <= 1.0:
-            raise distance_error(r)
-        n = self.params.n_neighbors
-        p1 = p                               # x transmits
-        p2 = 1.0 - p                         # y silent
-        p3 = math.exp(-p * n)                # x's neighborhood silent
-        vulnerable = 2.0 * self.params.l_rts + 1.0
-        p4 = math.exp(-p * n * hidden_area(r) * vulnerable)
-        return p1 * p2 * p3 * p4
+    def __init__(self, params) -> None:
+        super().__init__(params)
+        # P_ws(r) = P1 * P2 * P3 * P4(r): x transmits, y is silent, x's
+        # neighborhood is silent for a slot, B(r) for the RTS window.
+        self._table = ConstraintTable(
+            _omni_area_tuple,
+            (((1.0, OMNI),), ((2.0 * params.l_rts + 1.0, OMNI),)),
+        )
 
     def t_fail(self, p: float) -> float:
         """Failures are detected right after the missing CTS window."""

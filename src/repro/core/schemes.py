@@ -2,13 +2,20 @@
 
 Each scheme supplies three ingredients:
 
-* ``p_ww(p)`` — the probability a waiting node stays waiting one more slot,
-* ``p_ws_at_distance(r, p)`` — the probability a node successfully starts
-  and completes a four-way handshake with a neighbor at distance ``r``,
+* ``p_ww(p)`` — the probability a waiting node stays waiting one more
+  slot (the omni form ``(1-p) * exp(-p*N)`` unless overridden),
+* a :class:`ConstraintTable`, declared in ``__init__`` — Section 2's
+  "no node in area ``S_i(r)`` transmits, with probability ``p`` or
+  ``p' = p*theta/(2*pi)``, for ``d_i`` slots", from which the base class
+  evaluates ``P_ws(r)``, the probability a node successfully starts and
+  completes a handshake with a neighbor at distance ``r``,
 * ``t_fail(p)`` — the expected length of a failed handshake in slots.
 
-The base class turns those into the stationary distribution of the node
-Markov chain and the saturation throughput::
+The quadrature integrand here, the numpy fast path
+(:mod:`repro.core.fastpath`) and the Monte-Carlo sampler
+(:mod:`repro.core.montecarlo`) all read the same table.  The base class
+turns it into the stationary distribution of the node Markov chain and
+the saturation throughput::
 
     Th(p) = pi_s * l_data / (pi_w * 1 + pi_s * T_succeed + pi_f * T_fail)
 
@@ -20,14 +27,51 @@ from __future__ import annotations
 
 import abc
 import math
-from typing import ClassVar
+from dataclasses import dataclass, field
+from typing import Callable, ClassVar
 
 from scipy import integrate
 
+from .geometry import distance_error
 from .markov import StationaryDistribution, solve_node_chain
 from .params import ProtocolParameters
 
-__all__ = ["CollisionAvoidanceScheme"]
+__all__ = ["BEAM", "OMNI", "SPAN", "CollisionAvoidanceScheme", "ConstraintTable"]
+
+#: How a window thins the per-slot transmit probability ``p``: every
+#: transmission interferes (``OMNI``), only a beam that happens to cover
+#: the victim does (``BEAM``, ``p' = p*theta/(2*pi)``), or a beam over
+#: the table's Area-III ``span`` does (``SPAN``, ``p*span/(2*pi)``).
+OMNI, BEAM, SPAN = "omni", "beam", "span"
+
+
+@dataclass(frozen=True)
+class ConstraintTable:
+    """One scheme's Section-2 interference constraints.
+
+    Attributes:
+        areas: ``r -> (S_1(r), S_2(r), ...)``, the normalized areas,
+            unchecked (callers test ``0 <= r <= 1``).
+        windows: per area, its ``(slots, thinning)`` windows: no node in
+            the area transmits, with ``p`` thinned as ``thinning`` says,
+            for ``slots`` consecutive slots.
+        span: the beam span of ``SPAN`` windows, in radians.
+        rows: derived, every window in order as ``(area index, slots,
+            thinning, closes)``, ``closes`` marking an area's last window.
+    """
+
+    areas: Callable[[float], tuple[float, ...]]
+    windows: tuple[tuple[tuple[float, str], ...], ...]
+    span: float = 0.0
+    rows: tuple[tuple[int, float, str, bool], ...] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        rows = tuple(
+            (index, slots, thinning, position == len(windows) - 1)
+            for index, windows in enumerate(self.windows)
+            for position, (slots, thinning) in enumerate(windows)
+        )
+        object.__setattr__(self, "rows", rows)
 
 
 class CollisionAvoidanceScheme(abc.ABC):
@@ -35,8 +79,12 @@ class CollisionAvoidanceScheme(abc.ABC):
 
     #: Human-readable scheme name, e.g. ``"DRTS-DCTS"``.
     name: ClassVar[str] = "abstract"
-    #: Whether the scheme uses directional transmissions anywhere.
+    #: Whether the scheme uses directional transmissions anywhere (it
+    #: also picks the table's evaluation order, see ``_at_distance``).
     uses_directional_transmissions: ClassVar[bool] = False
+
+    #: Set by each scheme's ``__init__``; see :attr:`constraint_table`.
+    _table: ConstraintTable | None = None
 
     def __init__(self, params: ProtocolParameters) -> None:
         self._params = params
@@ -45,29 +93,107 @@ class CollisionAvoidanceScheme(abc.ABC):
     def params(self) -> ProtocolParameters:
         """The protocol parameters, fixed at construction.
 
-        Read-only: the schemes hoist terms derived from them out of the
-        per-distance integrand.
+        Read-only: each scheme builds its constraint table from them.
         """
         return self._params
+
+    @property
+    def constraint_table(self) -> ConstraintTable:
+        """The scheme's interference constraints (read-only).
+
+        Raises:
+            TypeError: the scheme declares no table.
+        """
+        if self._table is None:
+            raise TypeError(f"{type(self).__name__} declares no constraint table")
+        return self._table
 
     # ------------------------------------------------------------------
     # Scheme-specific pieces.
     # ------------------------------------------------------------------
 
-    @abc.abstractmethod
     def p_ww(self, p: float) -> float:
-        """Probability that a waiting node stays in *wait* for a slot."""
-
-    @abc.abstractmethod
-    def p_ws_at_distance(self, r: float, p: float) -> float:
-        """``P_ws(r)``: success probability toward a neighbor at distance ``r``.
-
-        ``r`` is normalized to the transmission range (``0 < r <= 1``).
-        """
+        """``P_ww = (1-p) * exp(-p*N)``: the node stays silent and none
+        of its (Poisson many) neighbors starts transmitting."""
+        self._check_p(p)
+        return (1.0 - p) * math.exp(-p * self.params.n_neighbors)
 
     @abc.abstractmethod
     def t_fail(self, p: float) -> float:
         """Expected duration of a failed handshake, in slots."""
+
+    # ------------------------------------------------------------------
+    # The constraint table, evaluated.
+    # ------------------------------------------------------------------
+
+    def _at_distance(self, p: float, scale: float) -> Callable[[float], float]:
+        """``r -> scale * P_I(r)`` at a fixed ``p``, with the table's
+        ``(-q, slots)`` rows computed once.
+
+        ``P_I(r)`` multiplies ``exp(-q * S_i(r) * N * d)`` over every
+        window.  The directional schemes form each area's factor first
+        (Area II's ``exp(a) * exp(b)``), multiply the areas in order,
+        then ``scale``.  The omni schemes multiply ``scale`` by one factor
+        per window, in the paper's ``P1 * P2 * P3 * P4`` order, each
+        written ``exp(-p * N * S * d)``.  Both orders are pinned bit for
+        bit by the Fig. 5 digests.
+        """
+        table = self.constraint_table
+        n = self.params.n_neighbors
+        thinned = {
+            OMNI: p,
+            BEAM: p * self.params.directional_fraction,
+            SPAN: p * table.span / (2.0 * math.pi),
+        }
+        areas = table.areas
+        exp = math.exp
+        if self.uses_directional_transmissions:
+            rows = [
+                (index, -thinned[thinning], slots, closes)
+                for index, slots, thinning, closes in table.rows
+            ]
+
+            def directional(r: float) -> float:
+                if not 0.0 <= r <= 1.0:
+                    raise distance_error(r)
+                s = areas(r)
+                value = factor = 1.0
+                for index, neg_q, slots, closes in rows:
+                    factor *= exp(neg_q * s[index] * n * slots)
+                    if closes:
+                        value *= factor
+                        factor = 1.0
+                return scale * value
+
+            return directional
+
+        rows = [
+            (index, -thinned[thinning] * n, slots)
+            for index, slots, thinning, _closes in table.rows
+        ]
+
+        def omni(r: float) -> float:
+            if not 0.0 <= r <= 1.0:
+                raise distance_error(r)
+            s = areas(r)
+            value = scale
+            for index, neg_qn, slots in rows:
+                value *= exp(neg_qn * s[index] * slots)
+            return value
+
+        return omni
+
+    def interference_free_probability(self, r: float, p: float) -> float:
+        """``P_I(r)``: no window of the table sees a transmission."""
+        self._check_p(p)
+        return self._at_distance(p, 1.0)(r)
+
+    def p_ws_at_distance(self, r: float, p: float) -> float:
+        """``P_ws(r) = p * (1-p) * P_I(r)``: success toward a neighbor at
+        distance ``r``, normalized to the transmission range (``[0, 1]``).
+        """
+        self._check_p(p)
+        return self._at_distance(p, p * (1.0 - p))(r)
 
     # ------------------------------------------------------------------
     # Derived quantities (shared by every scheme).
@@ -84,9 +210,9 @@ class CollisionAvoidanceScheme(abc.ABC):
         chosen neighbor inside the unit disk.
         """
         self._check_p(p)
-        at_distance = self.p_ws_at_distance
+        at_distance = self._at_distance(p, p * (1.0 - p))
         value, _abserr = integrate.quad(
-            lambda r: 2.0 * r * at_distance(r, p), 0.0, 1.0, limit=100
+            lambda r: 2.0 * r * at_distance(r), 0.0, 1.0, limit=100
         )
         # Guard against tiny negative values from quadrature noise.
         return min(max(value, 0.0), 1.0)

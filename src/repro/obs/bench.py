@@ -463,8 +463,8 @@ def _timed(fn: Callable[[], int], repeats: int) -> dict:
 def run_suite(
     repeats: int = 3,
     *,
-    kernel_events: int = 20_000,
-    timer_churn_restarts: int = 30_000,
+    kernel_events: int = 300_000,
+    timer_churn_restarts: int = 300_000,
     slotsim_slots: int = 10_000,
     slotsim_batch_slots: int = 300,
     network_sim_seconds: float = 0.2,
@@ -579,8 +579,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         help="override the baseline's allowed regression fraction",
     )
     parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument("--kernel-events", type=int, default=20_000)
-    parser.add_argument("--timer-churn-restarts", type=int, default=30_000)
+    parser.add_argument("--kernel-events", type=int, default=300_000)
+    parser.add_argument("--timer-churn-restarts", type=int, default=300_000)
     parser.add_argument("--slotsim-slots", type=int, default=10_000)
     parser.add_argument("--slotsim-batch-slots", type=int, default=300)
     parser.add_argument("--network-sim-seconds", type=float, default=0.2)

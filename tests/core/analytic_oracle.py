@@ -10,8 +10,11 @@ production code to bit-identical results *and* random-generator states.
 
 The scheme integrands are methods of the oracle subclasses below, so
 ``maximize_throughput``, ``throughput`` and ``p_ws`` run unchanged
-library code around them.  The sampler reads the library's
-``constraints_for``, whose area functions are pinned here separately.
+library code around them; NP-CSMA's and BTMA's are their hand-written
+integrands from before the schemes declared constraint tables.  The
+sampler walks the paper-text constraints of
+``tests/core/paper_constraints.py``, whose area functions are pinned
+here separately.
 """
 
 from __future__ import annotations
@@ -22,13 +25,11 @@ from dataclasses import dataclass
 
 from scipy import integrate
 
-from repro.core import DrtsDcts, DrtsOcts, OrtsOcts
-from repro.core.montecarlo import (
-    InterferenceConstraint,
-    MonteCarloEstimate,
-    constraints_for,
-)
+from repro.core import DrtsDcts, DrtsOcts, IdealizedBtma, NonPersistentCsma, OrtsOcts
+from repro.core.montecarlo import MonteCarloEstimate
 from repro.core.schemes import CollisionAvoidanceScheme
+
+from .paper_constraints import InterferenceConstraint, constraints_for
 
 # ----------------------------------------------------------------------
 # Geometry (repro.core.geometry).
@@ -195,11 +196,46 @@ class OracleDrtsOcts(_OracleQuadrature, DrtsOcts):
         return p * (1.0 - p) * self.interference_free_probability(r, p)
 
 
+class OracleNonPersistentCsma(_OracleQuadrature, NonPersistentCsma):
+    def p_ww(self, p: float) -> float:
+        self._check_p(p)
+        return (1.0 - p) * math.exp(-p * self.params.n_neighbors)
+
+    def p_ws_at_distance(self, r: float, p: float) -> float:
+        self._check_p(p)
+        n = self.params.n_neighbors
+        vulnerable = 2.0 * self.params.l_data + 1.0
+        return (
+            p
+            * (1.0 - p)
+            * math.exp(-p * n)
+            * math.exp(-p * n * hidden_area(r) * vulnerable)
+        )
+
+
+class OracleIdealizedBtma(_OracleQuadrature, IdealizedBtma):
+    def p_ww(self, p: float) -> float:
+        self._check_p(p)
+        return (1.0 - p) * math.exp(-p * self.params.n_neighbors)
+
+    def p_ws_at_distance(self, r: float, p: float) -> float:
+        self._check_p(p)
+        n = self.params.n_neighbors
+        return (
+            p
+            * (1.0 - p)
+            * math.exp(-p * n)          # sender's neighborhood, 1 slot
+            * math.exp(-p * n * hidden_area(r))  # hidden region, 1 slot
+        )
+
+
 #: Library scheme class -> its oracle twin.
 ORACLES = {
     OrtsOcts: OracleOrtsOcts,
     DrtsDcts: OracleDrtsDcts,
     DrtsOcts: OracleDrtsOcts,
+    NonPersistentCsma: OracleNonPersistentCsma,
+    IdealizedBtma: OracleIdealizedBtma,
 }
 
 

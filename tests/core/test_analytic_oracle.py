@@ -17,7 +17,6 @@ from repro.core import (
     DrtsDcts,
     DrtsOcts,
     OrtsOcts,
-    constraints_for,
     drts_dcts_areas,
     drts_octs_areas,
     estimate_p_ws,
@@ -28,6 +27,7 @@ from repro.core import (
 )
 
 from . import analytic_oracle as oracle
+from .paper_constraints import constraints_for
 
 SCHEMES = (OrtsOcts, DrtsDcts, DrtsOcts)
 NEIGHBORS = (3.0, 10.0)

@@ -5,7 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from repro.core import PAPER_PARAMETERS, DrtsDcts, DrtsOcts, NonPersistentCsma, OrtsOcts
+from repro.core import (
+    PAPER_PARAMETERS,
+    CollisionAvoidanceScheme,
+    DrtsDcts,
+    DrtsOcts,
+    IdealizedBtma,
+    OrtsOcts,
+)
 from repro.core.fastpath import p_ws_curve, throughput_curve
 
 
@@ -20,7 +27,7 @@ P_GRID = np.array([0.005, 0.02, 0.05, 0.1, 0.2])
 
 
 class TestAgainstReference:
-    @pytest.mark.parametrize("cls", [OrtsOcts, DrtsDcts, DrtsOcts])
+    @pytest.mark.parametrize("cls", [OrtsOcts, DrtsDcts, DrtsOcts, IdealizedBtma])
     def test_p_ws_matches_quadrature(self, cls):
         scheme = make(cls)
         fast = p_ws_curve(scheme, P_GRID)
@@ -53,8 +60,12 @@ class TestAgainstReference:
 
 class TestValidation:
     def test_rejects_unsupported_scheme(self):
-        with pytest.raises(TypeError):
-            p_ws_curve(make(NonPersistentCsma), P_GRID)
+        class Untabulated(CollisionAvoidanceScheme):
+            def t_fail(self, p):
+                return 1.0
+
+        with pytest.raises(TypeError, match="declares no constraint table"):
+            p_ws_curve(Untabulated(PAPER_PARAMETERS), P_GRID)
 
     def test_rejects_bad_p(self):
         scheme = make(OrtsOcts)

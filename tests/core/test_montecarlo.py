@@ -12,16 +12,17 @@ import pytest
 
 from repro.core import (
     PAPER_PARAMETERS,
+    CollisionAvoidanceScheme,
     DrtsDcts,
     DrtsOcts,
-    InterferenceConstraint,
-    NonPersistentCsma,
     OrtsOcts,
-    constraints_for,
     estimate_p_ws,
     estimate_p_ws_at_distance,
     simulate_node_chain,
 )
+from repro.core.montecarlo import _sampler_rows
+
+from .paper_constraints import InterferenceConstraint, constraints_for
 
 
 def make(cls, n=3.0, theta_deg=60.0):
@@ -31,6 +32,8 @@ def make(cls, n=3.0, theta_deg=60.0):
 
 
 class TestConstraintTables:
+    """The paper-text fixture the schemes' tables are checked against."""
+
     def test_orts_octs_has_two_constraints(self):
         constraints = constraints_for(make(OrtsOcts), 0.5, 0.05)
         assert len(constraints) == 2
@@ -44,9 +47,19 @@ class TestConstraintTables:
         constraints = constraints_for(make(DrtsOcts), 0.5, 0.05)
         assert len(constraints) == 4
 
-    def test_csma_not_tabulated(self):
-        with pytest.raises(TypeError):
-            constraints_for(make(NonPersistentCsma), 0.5, 0.05)
+    def test_untabulated_scheme_raises_before_drawing(self):
+        class Untabulated(CollisionAvoidanceScheme):
+            def t_fail(self, p):
+                return 1.0
+
+        scheme = Untabulated(PAPER_PARAMETERS)
+        rng = random.Random(4)
+        state = rng.getstate()
+        with pytest.raises(TypeError, match="declares no constraint table"):
+            estimate_p_ws(scheme, 0.05, rng, samples=100)
+        with pytest.raises(TypeError, match="declares no constraint table"):
+            estimate_p_ws_at_distance(scheme, 0.5, 0.05, rng, samples=100)
+        assert rng.getstate() == state
 
     def test_constraint_validation(self):
         with pytest.raises(ValueError):
@@ -100,8 +113,8 @@ class TestPwsAgreement:
     def test_default_span_factor_keeps_the_thinned_probability(self):
         scheme = make(DrtsDcts)
         p = 0.05
-        area3 = constraints_for(scheme, 0.5, p)[3]
-        assert area3.tx_probability == p * scheme.params.beamwidth / (2 * math.pi)
+        _area, tx_probability, _slots = _sampler_rows(scheme, p)[3]
+        assert tx_probability == p * scheme.params.beamwidth / (2 * math.pi)
 
     def test_denser_network_agreement(self):
         scheme = make(OrtsOcts, n=8.0)
