@@ -27,13 +27,6 @@ artifacts.  The fuzz suite in ``tests/dessim/test_scheduler_equivalence.py``
 pins that, and the network-cell, campaign-artifact, trace-pin and
 golden-cell-hash tests run under both engines.
 
-Resume note: an event fires exactly once because firing flips its
-state flag, so a re-scan of a partially swept bucket skips consumed
-entries by state.  :meth:`Simulator.step` additionally keeps a cursor
-into the head bucket (``_head_pos``) which :meth:`Simulator.run`
-honors, so a reused event object re-linked into the *same* timestamp
-can never be revisited ahead of lower-sequence entries.
-
 This is our substitute for GloMoSim's kernel: the paper's experiments
 need nothing beyond sequential event-driven execution over a few dozen
 nodes.
@@ -174,12 +167,6 @@ class Simulator:
         # bucket rather than once per event.
         self._buckets: dict[int, Event | list[Event]] = {}
         self._times: list[int] = []
-        # Cursor into the head bucket, advanced only by step(): events
-        # at positions < _head_pos are consumed.  run() drains any
-        # partially stepped bucket through a positional sweep before
-        # entering its iterator-based fast path (which always starts
-        # buckets at position 0).
-        self._head_pos: int = 0
         # Recycled empty bucket lists and recycled anonymous events.
         self._free_lists: list[list[Event]] = []
         self._free_events: list[Event] = []
@@ -427,7 +414,7 @@ class Simulator:
         hold component callbacks, so a live calendar ties the simulator
         and everything scheduled on it into one reference cycle.
         Closing cuts it.  The clock and counters stay readable;
-        scheduling on, stepping or running a closed simulator raises
+        scheduling on or running a closed simulator raises
         :class:`SimulationError`.
         """
         if self._running:
@@ -441,115 +428,12 @@ class Simulator:
     # Execution.
     # ------------------------------------------------------------------
 
-    def step(self) -> bool:
-        """Execute the next pending event.
-
-        Returns:
-            ``True`` if an event ran, ``False`` if the queue was empty.
-        """
-        if self._running:
-            raise SimulationError("cannot step() while run() is active")
-        if self._buckets is _CLOSED_CALENDAR:
-            raise SimulationError("simulator is closed")
-        times = self._times
-        buckets = self._buckets
-        while times:
-            t = times[0]
-            entry = buckets[t]
-            if type(entry) is list:
-                pos = self._head_pos
-                n = len(entry)
-                while pos < n:
-                    event = entry[pos]
-                    pos += 1
-                    st = event._state
-                    if st == _PENDING or st == _POOLED:
-                        # Cursor saved before the callback runs: the
-                        # event is consumed even if the callback raises.
-                        self._head_pos = pos
-                        event._state = _FIRED
-                        self._pending -= 1
-                        self._now = t
-                        self._events_processed += 1
-                        event.callback(*event.args)
-                        if st == _POOLED:
-                            self._recycle(event)
-                        return True
-                heappop(times)
-                del buckets[t]
-                entry.clear()
-                if len(self._free_lists) < _MAX_FREE_LISTS:
-                    self._free_lists.append(entry)
-                self._head_pos = 0
-            else:
-                # Single-event bucket: drained *before* the callback
-                # runs, so a fired event re-linked elsewhere can never
-                # linger under this timestamp as a stale dict value.
-                heappop(times)
-                del buckets[t]
-                st = entry._state
-                if st == _PENDING or st == _POOLED:
-                    entry._state = _FIRED
-                    self._pending -= 1
-                    self._now = t
-                    self._events_processed += 1
-                    entry.callback(*entry.args)
-                    if st == _POOLED:
-                        self._recycle(entry)
-                    return True
-                # else: a cancelled tombstone, reclaimed with its slot.
-        return False
-
     def _recycle(self, event: Event) -> None:
         """Return a fired pool-owned event to the free list."""
         if len(self._free_events) < _MAX_FREE_EVENTS:
             event.callback = _noop
             event.args = ()
             self._free_events.append(event)
-
-    def _drain_stepped_bucket(self, horizon: int | None) -> None:
-        """Finish a bucket partially consumed by :meth:`step`.
-
-        Sweeps positionally from the saved cursor so entries already
-        fired through step() are never revisited, then releases the
-        bucket and clears the cursor.  If the bucket lies beyond the
-        horizon the cursor is kept for a later run.
-        """
-        times = self._times
-        buckets = self._buckets
-        if not times:
-            self._head_pos = 0
-            return
-        t = times[0]
-        if horizon is not None and t > horizon:
-            return
-        entry = buckets[t]
-        if type(entry) is not list:
-            # Defensive: step() only sets the cursor on list buckets.
-            self._head_pos = 0
-            return
-        pos = self._head_pos
-        n = len(entry)
-        while pos < n:
-            event = entry[pos]
-            pos += 1
-            st = event._state
-            if st == _PENDING or st == _POOLED:
-                self._head_pos = pos
-                event._state = _FIRED
-                self._pending -= 1
-                self._now = t
-                self._events_processed += 1
-                event.callback(*event.args)
-                if st == _POOLED:
-                    self._recycle(event)
-                n = len(entry)
-        heappop(times)
-        del buckets[t]
-        entry.clear()
-        if len(self._free_lists) < _MAX_FREE_LISTS:
-            self._free_lists.append(entry)
-        self._head_pos = 0
 
     def run(self, until: int | None = None) -> None:
         """Run until the queue drains or the clock passes ``until`` ns.
@@ -589,12 +473,6 @@ class Simulator:
         pop = heappop
         horizon = until
         try:
-            if self._head_pos:
-                # A bucket partially consumed by step(): drain it
-                # through the positional slow path so already-fired
-                # positions are never revisited, then fall through to
-                # the fast loop (which always starts buckets at 0).
-                self._drain_stepped_bucket(horizon)
             while times:
                 t = times[0]
                 if horizon is not None and t > horizon:
@@ -687,17 +565,12 @@ class Simulator:
                     break
                 entry = buckets[t]
                 if type(entry) is list:
-                    # Positional sweep from the cursor: identical
-                    # consumption order to the fast loop, and resumes a
-                    # step()-touched bucket for free.
-                    pos = self._head_pos
-                    n = len(entry)
-                    while pos < n:
-                        event = entry[pos]
-                        pos += 1
+                    # The same bucket rule as run(): a plain ``for``
+                    # that picks up same-time appends and skips
+                    # consumed entries by state.
+                    for event in entry:
                         st = event._state
                         if st == _PENDING or st == _POOLED:
-                            self._head_pos = pos
                             event._state = _FIRED
                             self._pending -= 1
                             self._now = t
@@ -705,13 +578,11 @@ class Simulator:
                             hook(event)
                             if st == _POOLED:
                                 self._recycle(event)
-                            n = len(entry)
                     heappop(times)
                     del buckets[t]
                     entry.clear()
                     if len(self._free_lists) < _MAX_FREE_LISTS:
                         self._free_lists.append(entry)
-                    self._head_pos = 0
                 else:
                     heappop(times)
                     del buckets[t]

@@ -205,7 +205,10 @@ def _case_network_cell(sim_seconds: float) -> int:
     topology = generate_ring_topology(TopologyConfig(n=3), random.Random(50))  # simlint: disable=SL001 -- fixed bench workload, not an experiment
     metrics = MetricsRegistry()
     net = NetworkSimulation(topology, "ORTS-OCTS", math.pi, seed=1, metrics=metrics)
-    result = net.run(seconds(sim_seconds))
+    # 8x the shared duration: at the default 0.2 s this case runs
+    # ~0.4 s, enough work to sit inside the gate's tolerance on a
+    # shared host.
+    result = net.run(seconds(8 * sim_seconds))
     assert result.duration_ns > 0
     assert metrics.counter("dessim.events").value > 0
     # Work unit: simulated nanoseconds.  The workload is fixed by the
@@ -300,7 +303,8 @@ def _case_multihop_medium(sim_seconds: float) -> int:
     net = MultihopNetworkSimulation(
         topology, "DRTS-OCTS", math.pi / 2, seed=1, metrics=metrics
     )
-    result = net.run(seconds(sim_seconds))
+    # 15x the shared duration, for ~0.4 s of work (see _case_network_cell).
+    result = net.run(seconds(15 * sim_seconds))
     assert result.packets_originated > 0
     assert metrics.counter("dessim.events").value > 0
     # Work unit: simulated nanoseconds (see _case_network_cell).
@@ -374,7 +378,8 @@ def _case_mobility_churn(sim_seconds: float) -> int:
         SaturatedCbrSource(
             sim, macs[nid], [(nid + 1) % n], rng.stream(f"traffic{nid}")
         ).start()
-    sim.run(until=seconds(sim_seconds))
+    # 15x the shared duration, for ~0.4 s of work (see _case_network_cell).
+    sim.run(until=seconds(15 * sim_seconds))
     assert channel.cache.move_seq > len(movers)
     assert sim.events_processed > 0
     close_stack(sim, channel, macs.values())

@@ -11,15 +11,19 @@ The middle rung of the repository's three-fidelity ladder:
 Comparing 1 vs 2 isolates the model's independence assumptions;
 comparing 2 vs 3 isolates everything 802.11 adds (carrier sense, NAV,
 BEB).
+
+:class:`BatchSlotModelEngine` is the one engine.  The scalar engine it
+replaced, that engine's pairwise torus geometry and the replay of its
+:class:`random.Random` stream on the batch engine are test oracles
+under ``tests/slotsim/``.
 """
 
 from .batch import BatchGeometry, BatchSlotModelEngine, SlotModelResults
-from .model import SlotModelConfig, TorusGeometry
+from .model import SlotModelConfig
 
 __all__ = [
     "BatchGeometry",
     "BatchSlotModelEngine",
     "SlotModelConfig",
     "SlotModelResults",
-    "TorusGeometry",
 ]

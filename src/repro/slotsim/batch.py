@@ -11,24 +11,18 @@ against a precomputed torus coverage tensor
 slot of the whole batch costs a handful of array operations instead of
 a Python loop over nodes and handshakes.
 
+Each replicate owns a PCG64 stream at a fixed
+:class:`~numpy.random.SeedSequence` spawn key, consuming exactly
+``2 * nodes`` uniforms per slot regardless of state, so outcomes are
+seed-stable and independent of how a sweep is split into batches.
+
 The scalar engine it replaced, one Python loop over nodes and
 handshakes, is kept as a test oracle (``tests/slotsim/scalar_engine.py``).
-Two equivalence regimes tie the engines together in
-``tests/slotsim/test_batch.py``:
-
-* **Bit-identical** (``rng_mode="oracle"``, ``batch=1``): the engine
-  consumes a :class:`random.Random` in exactly the scalar engine's
-  order (geometry placement first, then one uniform per free node per
-  slot plus one ``choice`` per initiation), so every
-  :class:`SlotModelResults` field — including the integer
-  failure-duration ledger — equals the scalar run's exactly.  This
-  mode exists for that check; no study runs it.
-* **Distributional** (``rng_mode="numpy"``, the default): each replicate
-  owns a PCG64 stream at a fixed :class:`~numpy.random.SeedSequence`
-  spawn key, consuming exactly ``2 * nodes`` uniforms per slot
-  regardless of state.  Outcomes are seed-stable, independent of how a
-  sweep is split into batches, and statistically indistinguishable
-  from scalar runs on the same geometry.
+``tests/slotsim/test_batch.py`` holds the two to bit-identical results
+through a test-side subclass that overrides only the per-run
+initiation step (:meth:`BatchSlotModelEngine._initiator`) to replay
+the scalar engine's :class:`random.Random` draws, and to
+distributional agreement on the numpy streams.
 
 A batch shares one topology: the engine models ``batch`` traffic
 replicates on a single node placement (the coverage tensor is
@@ -40,15 +34,14 @@ does.
 from __future__ import annotations
 
 import math
-import random
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from ..phy.frames import FrameType
-from .model import SlotModelConfig, TorusGeometry
+from .model import SlotModelConfig
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, no runtime dependency
     from ..obs.metrics import MetricsRegistry
@@ -124,31 +117,6 @@ class BatchGeometry:
     # ------------------------------------------------------------------
 
     @classmethod
-    def from_torus(cls, geo: TorusGeometry, beamwidth: float) -> "BatchGeometry":
-        """Adopt a scalar :class:`TorusGeometry` verbatim.
-
-        Neighbor sets and the coverage tensor are evaluated through
-        ``geo.covers`` itself, so a batch run on the adopted geometry
-        resolves every interference question exactly as the scalar
-        engine would — the foundation of the bit-identical oracle mode
-        and of tight paired equivalence tests.
-        """
-        count = geo.count
-        degrees = [len(row) for row in geo.neighbors]
-        width = max(degrees, default=0) or 1
-        nbr = np.full((count, width), -1, dtype=np.int32)
-        for i, row in enumerate(geo.neighbors):
-            nbr[i, : len(row)] = row
-        deg = np.array(degrees, dtype=np.int64)
-        cov = np.zeros((count, width, width), dtype=bool)
-        for k in range(count):
-            row = geo.neighbors[k]
-            for a, aimed in enumerate(row):
-                for l, listener in enumerate(row):
-                    cov[k, a, l] = geo.covers(k, aimed, listener, beamwidth)
-        return cls(geo.side, beamwidth, nbr, deg, cov)
-
-    @classmethod
     def generate(
         cls, config: SlotModelConfig, rng: np.random.Generator
     ) -> "BatchGeometry":
@@ -159,9 +127,9 @@ class BatchGeometry:
         every range-1 neighbor lives in the node's own or an adjacent
         cell and the nine gathered cells are all distinct (no
         duplicate pairs).  This keeps construction near-linear in the
-        node count — the O(K^2) pairwise tables of the scalar
-        :class:`TorusGeometry` are infeasible at the 10^4-node scale
-        this engine exists for.
+        node count — the O(K^2) pairwise tables of the scalar test
+        oracle's geometry are infeasible at the 10^4-node scale this
+        engine exists for.
         """
         side = float(config.torus_factor)
         count = config.node_count
@@ -235,8 +203,8 @@ class BatchGeometry:
 
     # ------------------------------------------------------------------
 
-    #: Node coordinates, populated by :meth:`generate` (adopted
-    #: geometries keep them on the scalar object instead).
+    #: Node coordinates, populated by :meth:`generate` (a geometry
+    #: built from its tables alone has none).
     xs: np.ndarray | None = None
     ys: np.ndarray | None = None
 
@@ -300,18 +268,10 @@ class BatchSlotModelEngine:
             exactly where ``batch=2, replicate_offset=0`` left off, so
             a sweep can be split across engine instances (or campaign
             workers) without changing any outcome.
-        geometry: a :class:`BatchGeometry`, a scalar
-            :class:`TorusGeometry` to adopt, or ``None`` to draw a
+        geometry: a :class:`BatchGeometry`, or ``None`` to draw a
             placement from the geometry stream.
         metrics: optional registry; harvested once per :meth:`run`
             into the ``slotsim.*`` instruments, summed over the batch.
-        rng_mode: ``"numpy"`` (default) for per-replicate PCG64
-            streams, or ``"oracle"``, the test hook: consume a
-            :class:`random.Random` in the scalar test oracle's exact
-            draw order (requires ``batch=1``, ``replicate_offset=0``),
-            so ``tests/slotsim/test_batch.py`` can compare the two
-            engines bit for bit.  No study runs it, but removing it
-            would remove that check.
     """
 
     def __init__(
@@ -320,9 +280,8 @@ class BatchSlotModelEngine:
         *,
         batch: int = 1,
         replicate_offset: int = 0,
-        geometry: "BatchGeometry | TorusGeometry | None" = None,
+        geometry: BatchGeometry | None = None,
         metrics: "MetricsRegistry | None" = None,
-        rng_mode: str = "numpy",
     ) -> None:
         if batch < 1:
             raise ValueError(f"batch must be >= 1, got {batch}")
@@ -330,19 +289,9 @@ class BatchSlotModelEngine:
             raise ValueError(
                 f"replicate_offset must be >= 0, got {replicate_offset}"
             )
-        if rng_mode not in ("numpy", "oracle"):
-            raise ValueError(
-                f"rng_mode must be 'numpy' or 'oracle', got {rng_mode!r}"
-            )
-        if rng_mode == "oracle" and (batch != 1 or replicate_offset != 0):
-            raise ValueError(
-                "oracle mode replays one scalar RNG stream: it requires "
-                "batch=1 and replicate_offset=0"
-            )
         self.config = config
         self.batch = batch
         self.replicate_offset = replicate_offset
-        self.rng_mode = rng_mode
         self._metrics = metrics
 
         prm = config.params
@@ -371,24 +320,10 @@ class BatchSlotModelEngine:
             ftype: policy.is_directional(ftype) for ftype in self._l
         }
 
-        self._oracle_rng: random.Random | None = None
-        self._oracle_state: object | None = None
-        self._py_neighbors: list[list[int]] | None = None
-        if rng_mode == "oracle":
-            py_rng = random.Random(config.seed)  # simlint: disable=SL001 -- oracle mode replays the scalar engine's single config-seeded stream
-            if geometry is None:
-                geometry = TorusGeometry(config, py_rng)
-            self._oracle_rng = py_rng
-            # run() rewinds to here, mirroring the scalar engine's
-            # post-construction snapshot.
-            self._oracle_state = py_rng.getstate()
-
         if geometry is None:
             self.geometry = BatchGeometry.generate(
                 config, _generator(config.seed, (_GEOMETRY_KEY,))
             )
-        elif isinstance(geometry, TorusGeometry):
-            self.geometry = BatchGeometry.from_torus(geometry, prm.beamwidth)
         else:
             if any(self._directional.values()) and (
                 geometry.beamwidth != prm.beamwidth
@@ -399,56 +334,63 @@ class BatchSlotModelEngine:
                 )
             self.geometry = geometry
 
-        if rng_mode == "oracle":
-            if isinstance(geometry, TorusGeometry):
-                self._py_neighbors = geometry.neighbors
-            else:
-                geo = self.geometry
-                self._py_neighbors = [
-                    [int(n) for n in geo.nbr[k, : geo.deg[k]]]
-                    for k in range(geo.count)
-                ]
-            # Receiver id -> slot in the node's neighbor row, for
-            # translating rng.choice results into table coordinates.
-            self._py_slot_of = [
-                {node: slot for slot, node in enumerate(row)}
-                for row in self._py_neighbors
-            ]
-
     # ------------------------------------------------------------------
 
-    def _streams(self) -> list[np.random.Generator]:
-        """Fresh per-replicate generators — recreated every run so
-        ``run()`` stays a pure function of the configuration."""
-        return [
+    def _initiator(
+        self,
+    ) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """The per-run initiation step, called once on entry to :meth:`run`.
+
+        Returns ``initiate(engaged)``, which draws one slot's new
+        handshakes from the ``[batch, nodes]`` engaged mask as
+        ``(irep, inode, islot)``: replicate, initiator and the slot of
+        its receiver in the initiator's neighbor row.  The per-replicate
+        generators are recreated on every call, so ``run()`` stays a
+        pure function of the configuration, and consume a fixed
+        ``2 * nodes`` uniforms per replicate per slot regardless of
+        state, which keeps the streams seed-stable and batch-split
+        invariant.
+        """
+        gens = [
             _generator(
                 self.config.seed,
                 (_REPLICATE_KEY, self.replicate_offset + i),
             )
             for i in range(self.batch)
         ]
+        count, deg = self.geometry.count, self.geometry.deg
+        can_init = deg > 0
+        p = self.config.p
+
+        def initiate(
+            engaged: np.ndarray,
+        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+            draws = np.stack([g.random((2, count)) for g in gens])
+            init = ~engaged & can_init[None, :] & (draws[:, 0, :] < p)
+            irep, inode = np.nonzero(init)
+            d = deg[inode]
+            islot = np.minimum(
+                (draws[irep, 1, inode] * d).astype(np.int64), d - 1
+            ).astype(np.int32)
+            return irep, inode, islot
+
+        return initiate
 
     def run(self, slots: int) -> list[SlotModelResults]:
         """Advance every replicate ``slots`` slots; one result each.
 
         Every call is a pure function of the configuration: all per-run
-        state is local and the RNG streams are re-derived (numpy mode)
-        or rewound (oracle mode) on entry.
+        state is local and :meth:`_initiator` re-derives the streams on
+        entry.
         """
         if slots < 1:
             raise ValueError(f"slots must be >= 1, got {slots}")
         geo = self.geometry
         nreps, count = self.batch, geo.count
-        nbr, valid, deg = geo.nbr, geo.valid, geo.deg
+        nbr, valid = geo.nbr, geo.valid
         cov, rev = geo.cov, geo.rev
-        p = self.config.p
         dirs = self._directional
-
-        if self.rng_mode == "numpy":
-            gens = self._streams()
-        else:
-            assert self._oracle_rng is not None
-            self._oracle_rng.setstate(self._oracle_state)
+        initiate = self._initiator()
 
         engaged = np.zeros((nreps, count), dtype=bool)
         active = np.zeros((nreps, count), dtype=bool)
@@ -467,24 +409,9 @@ class BatchSlotModelEngine:
         early_fails = np.zeros(nreps, dtype=np.int64)
         late_fails = np.zeros(nreps, dtype=np.int64)
 
-        can_init = deg > 0
-
         for now in range(slots):
             # 1. New initiations by free nodes.
-            if self.rng_mode == "numpy":
-                # Fixed consumption — 2K uniforms per replicate per
-                # slot regardless of state — keeps the streams
-                # seed-stable and batch-split invariant.
-                draws = np.stack([g.random((2, count)) for g in gens])
-                init = ~engaged & can_init[None, :] & (draws[:, 0, :] < p)
-                irep, inode = np.nonzero(init)
-                if irep.size:
-                    d = deg[inode]
-                    islot = np.minimum(
-                        (draws[irep, 1, inode] * d).astype(np.int64), d - 1
-                    ).astype(np.int32)
-            else:
-                irep, inode, islot = self._oracle_initiations(engaged[0], p)
+            irep, inode, islot = initiate(engaged)
             if irep.size:
                 active[irep, inode] = True
                 engaged[irep, inode] = True
@@ -641,34 +568,6 @@ class BatchSlotModelEngine:
         return results
 
     # ------------------------------------------------------------------
-
-    def _oracle_initiations(
-        self, engaged_row: np.ndarray, p: float
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """One slot of initiation draws in the scalar engine's order.
-
-        Consumes the replayed :class:`random.Random` exactly as
-        the scalar oracle's ``run`` step 1 does — one uniform per
-        free node that has neighbors, one ``choice`` per initiation —
-        so the stream stays aligned draw for draw.
-        """
-        rng = self._oracle_rng
-        neighbors = self._py_neighbors
-        assert rng is not None and neighbors is not None
-        nodes: list[int] = []
-        slots_: list[int] = []
-        for node, row in enumerate(neighbors):
-            if engaged_row[node] or not row:
-                continue
-            if rng.random() >= p:
-                continue
-            receiver = rng.choice(row)
-            nodes.append(node)
-            slots_.append(self._py_slot_of[node][receiver])
-        inode = np.array(nodes, dtype=np.int64)
-        return np.zeros(inode.size, dtype=np.int64), inode, np.array(
-            slots_, dtype=np.int32
-        )
 
     def _replicate_results(
         self,

@@ -1,4 +1,4 @@
-"""Configuration and geometry for the slot-level model simulator.
+"""Configuration of the slot-level model simulator.
 
 :mod:`repro.slotsim` simulates the *analytical model's world* — not
 IEEE 802.11.  Nodes live on a torus (periodic plane, so every node sees
@@ -17,13 +17,12 @@ itself discusses).
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 
 from ..core.params import ProtocolParameters
 from ..mac.policy import AntennaPolicy, POLICIES
 
-__all__ = ["SlotModelConfig", "TorusGeometry"]
+__all__ = ["SlotModelConfig"]
 
 
 @dataclass(frozen=True)
@@ -76,78 +75,3 @@ class SlotModelConfig:
                 / math.pi
             ),
         )
-
-
-class TorusGeometry:
-    """Node placement and minimum-image geometry on a periodic square.
-
-    The range is normalized to ``R = 1``; the torus side is
-    ``L = torus_factor``.
-    """
-
-    def __init__(self, config: SlotModelConfig, rng: random.Random) -> None:
-        self.side = config.torus_factor
-        self.count = config.node_count
-        self.xs = [rng.random() * self.side for _ in range(self.count)]
-        self.ys = [rng.random() * self.side for _ in range(self.count)]
-        # Precomputed pairwise minimum-image displacement geometry.
-        self._distance: list[list[float]] = [
-            [0.0] * self.count for _ in range(self.count)
-        ]
-        self._bearing: list[list[float]] = [
-            [0.0] * self.count for _ in range(self.count)
-        ]
-        half = self.side / 2.0
-        for i in range(self.count):
-            for j in range(self.count):
-                if i == j:
-                    continue
-                dx = (self.xs[j] - self.xs[i] + half) % self.side - half
-                dy = (self.ys[j] - self.ys[i] + half) % self.side - half
-                self._distance[i][j] = math.hypot(dx, dy)
-                self._bearing[i][j] = math.atan2(dy, dx)
-        self.neighbors: list[list[int]] = [
-            [j for j in range(self.count) if j != i and self._distance[i][j] <= 1.0]
-            for i in range(self.count)
-        ]
-
-    def distance(self, i: int, j: int) -> float:
-        """Minimum-image distance between two nodes (R = 1 units)."""
-        return self._distance[i][j]
-
-    def bearing(self, i: int, j: int) -> float:
-        """Minimum-image bearing from node ``i`` to node ``j``."""
-        return self._bearing[i][j]
-
-    def in_range(self, i: int, j: int) -> bool:
-        return i != j and self._distance[i][j] <= 1.0
-
-    def covers(
-        self, transmitter: int, aimed_at: int, listener: int, beamwidth: float
-    ) -> bool:
-        """Whether a beam from ``transmitter`` toward ``aimed_at``
-        (full width ``beamwidth``) covers ``listener``."""
-        if not self.in_range(transmitter, listener):
-            return False
-        if beamwidth >= 2 * math.pi:
-            return True
-        delta = abs(
-            self._wrap(
-                self._bearing[transmitter][listener]
-                - self._bearing[transmitter][aimed_at]
-            )
-        )
-        return delta <= beamwidth / 2.0
-
-    @staticmethod
-    def _wrap(angle: float) -> float:
-        wrapped = math.fmod(angle, 2 * math.pi)
-        if wrapped > math.pi:
-            wrapped -= 2 * math.pi
-        elif wrapped <= -math.pi:
-            wrapped += 2 * math.pi
-        return wrapped
-
-    def mean_degree(self) -> float:
-        """Average neighbor count (should approximate ``N``)."""
-        return sum(len(n) for n in self.neighbors) / self.count

@@ -107,23 +107,6 @@ class HeapSimulator(Simulator):
         if self._buckets is _CLOSED_CALENDAR:
             raise SimulationError("simulator is closed")
 
-    def step(self) -> bool:
-        if self._running:
-            raise SimulationError("cannot step() while run() is active")
-        self._check_open()
-        queue = self._queue
-        while queue:
-            time, _seq, event = heappop(queue)
-            if event._state != _PENDING:
-                continue
-            event._state = _FIRED
-            self._pending -= 1
-            self._now = time
-            self._events_processed += 1
-            event.callback(*event.args)
-            return True
-        return False
-
     def run(self, until: int | None = None) -> None:
         if self._running:
             raise SimulationError("simulator is not reentrant")

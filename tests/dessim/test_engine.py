@@ -166,17 +166,6 @@ class TestRunUntil:
         with pytest.raises(SimulationError):
             sim.run(until=50)
 
-    def test_step_returns_false_when_empty(self):
-        assert Simulator().step() is False
-
-    def test_step_executes_one_event(self):
-        sim = Simulator()
-        fired = []
-        sim.schedule(10, fired.append, 1)
-        sim.schedule(20, fired.append, 2)
-        assert sim.step() is True
-        assert fired == [1]
-
     def test_not_reentrant(self):
         sim = Simulator()
         errors = []
@@ -258,13 +247,6 @@ class TestPendingCounter:
         event.cancel()  # already fired; must not decrement again
         assert sim.pending_events == 1
         assert keeper is not None
-
-    def test_step_decrements(self):
-        sim = Simulator()
-        sim.schedule(10, lambda: None)
-        sim.schedule(20, lambda: None)
-        assert sim.step() is True
-        assert sim.pending_events == 1
 
     @given(
         st.lists(

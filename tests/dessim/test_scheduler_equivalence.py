@@ -6,9 +6,10 @@ binary heap (:class:`~tests.dessim.heap_simulator.HeapSimulator`,
 "heap", a test oracle).  These tests hold it to that claim three ways:
 
 * randomized kernel programs — schedule/cancel/restart/anonymous
-  interleavings with heavy equal-timestamp ties, ``run(until)``
-  horizons, and ``step()`` interleaves — must produce identical firing
-  traces and identical live accounting on both engines;
+  interleavings with heavy equal-timestamp ties and ``run(until)``
+  horizons, on the wheel's plain loop and on its ``dispatch_hook``
+  loop — must produce identical firing traces and identical live
+  accounting on both engines;
 * a Fig. 6/7-style :class:`~repro.net.NetworkSimulation` cell must
   produce identical results, MacStats, and ChannelStats;
 * a campaign run under each scheduler must write byte-identical
@@ -33,14 +34,21 @@ from repro.dessim.units import seconds
 from .heap_simulator import ENGINES
 
 
-def _run_program(engine: str, seed: int, horizons: bool, steps: int) -> list:
+def _pass_through(event) -> None:
+    event.callback(*event.args)
+
+
+def _run_program(engine: str, seed: int, horizons: bool, hooked: bool) -> list:
     """Execute a seeded random scheduler workout; return its trace.
 
     Every decision comes from one seeded RNG consumed in callback
     order, so two engines produce the same trace if and only if they
     fire the same callbacks in the same order at the same times.
+    ``hooked`` runs every fire through a pass-through ``dispatch_hook``.
     """
     sim = ENGINES[engine]()
+    if hooked:
+        sim.dispatch_hook = _pass_through
     rng = random.Random(seed)
     trace: list = []
     handles: list = []
@@ -83,17 +91,12 @@ def _run_program(engine: str, seed: int, horizons: bool, steps: int) -> list:
     for _ in range(20):
         act()
 
-    if steps:
-        for _ in range(steps):
-            sim.step()
-        trace.append(("stepped", sim.now, sim.pending_events))
     if horizons:
-        # step() may already have advanced past the first horizon.
-        sim.run(until=max(sim.now, 40))
+        sim.run(until=40)
         trace.append(("horizon", sim.now, sim.pending_events))
         for _ in range(5):
             act()
-        sim.run(until=max(sim.now, 80))
+        sim.run(until=80)
         trace.append(("horizon", sim.now, sim.pending_events))
     sim.run()
     trace.append(("end", sim.now, sim.events_processed, sim.pending_events))
@@ -105,22 +108,23 @@ class TestKernelPrograms:
     @given(seed=st.integers(0, 10**9))
     @settings(max_examples=60, deadline=None)
     def test_random_interleavings_trace_identical(self, seed):
-        assert _run_program("wheel", seed, False, 0) == _run_program(
-            "heap", seed, False, 0
+        assert _run_program("wheel", seed, False, False) == _run_program(
+            "heap", seed, False, False
         )
 
     @given(seed=st.integers(0, 10**9))
     @settings(max_examples=40, deadline=None)
     def test_run_until_horizons_trace_identical(self, seed):
-        assert _run_program("wheel", seed, True, 0) == _run_program(
-            "heap", seed, True, 0
+        assert _run_program("wheel", seed, True, False) == _run_program(
+            "heap", seed, True, False
         )
 
-    @given(seed=st.integers(0, 10**9), steps=st.integers(1, 12))
-    @settings(max_examples=40, deadline=None)
-    def test_step_interleaved_trace_identical(self, seed, steps):
-        assert _run_program("wheel", seed, True, steps) == _run_program(
-            "heap", seed, True, steps
+    @given(seed=st.integers(0, 10**9), horizons=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_hooked_run_trace_identical(self, seed, horizons):
+        # The wheel's profiled loop against the heap oracle's plain one.
+        assert _run_program("wheel", seed, horizons, True) == _run_program(
+            "heap", seed, horizons, False
         )
 
     def test_equal_timestamp_fifo_order(self):

@@ -76,8 +76,7 @@ class TestTimer:
         sim = Simulator()
         timer = Timer(sim, "t", lambda: None)
         timer.start(100)
-        sim.schedule(40, lambda: None)
-        sim.step()
+        sim.run(until=40)
         assert timer.remaining == 60
 
     def test_negative_delay_rejected(self):

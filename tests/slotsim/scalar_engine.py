@@ -1,8 +1,8 @@
 """The scalar slot-model engine: the batch engine's test oracle.
 
-:class:`repro.slotsim.BatchSlotModelEngine` replaced this engine.  In
-``rng_mode="oracle"`` the batch engine consumes one
-:class:`random.Random` in this engine's draw order, and
+:class:`repro.slotsim.BatchSlotModelEngine` replaced this engine.
+``tests/slotsim/replay_engine.py`` runs the batch engine on one
+:class:`random.Random` consumed in this engine's draw order, and
 ``tests/slotsim/test_batch.py`` holds the two to bit-identical results.
 
 Scripted four-way handshakes in slot time.
@@ -25,7 +25,9 @@ import random
 from dataclasses import dataclass
 
 from repro.phy.frames import FrameType
-from repro.slotsim import SlotModelConfig, SlotModelResults, TorusGeometry
+from repro.slotsim import SlotModelConfig, SlotModelResults
+
+from .torus import TorusGeometry
 
 
 @dataclass

@@ -5,9 +5,10 @@ the same world as the scalar oracle
 (:class:`~tests.slotsim.scalar_engine.SlotModelEngine`, which it
 replaced):
 
-1. **Bit-identical**: in ``rng_mode="oracle"`` the batch engine replays
-   the scalar engine's exact RNG stream, so every results field —
-   including the integer ledgers — must match with ``==``.
+1. **Bit-identical**: the batch engine with the scalar engine's exact
+   RNG stream replayed through its initiation step
+   (:class:`~tests.slotsim.replay_engine.ReplayEngine`) must match every
+   results field — including the integer ledgers — with ``==``.
 2. **Structural**: the array-form geometry (padded neighbor table,
    reverse index, coverage tensor) must agree with the scalar
    ``TorusGeometry`` / a brute-force rebuild entry for entry.
@@ -23,14 +24,11 @@ import pytest
 
 from repro.core import PAPER_PARAMETERS
 from repro.obs import MetricsRegistry
-from repro.slotsim import (
-    BatchGeometry,
-    BatchSlotModelEngine,
-    SlotModelConfig,
-    TorusGeometry,
-)
+from repro.slotsim import BatchGeometry, BatchSlotModelEngine, SlotModelConfig
 
+from .replay_engine import ReplayEngine
 from .scalar_engine import SlotModelEngine
+from .torus import TorusGeometry, batch_geometry
 
 
 def make_config(scheme="ORTS-OCTS", n=3.0, theta_deg=60.0, p=0.02, seed=1,
@@ -56,7 +54,8 @@ def assert_identical(a, b):
 
 
 class TestOracleBitIdentity:
-    """Layer 1: the RNG-order-pinned mode equals the scalar engine."""
+    """Layer 1: the batch engine on the replayed stream equals the
+    scalar engine."""
 
     @pytest.mark.parametrize("scheme", [
         "ORTS-OCTS", "DRTS-DCTS", "DRTS-OCTS", "ORTS-OCTS-DDATA", "DORTS-OCTS",
@@ -64,7 +63,7 @@ class TestOracleBitIdentity:
     def test_schemes_bit_identical(self, scheme):
         config = make_config(scheme=scheme, p=0.05, seed=11)
         scalar = SlotModelEngine(config).run(600)
-        batch = BatchSlotModelEngine(config, rng_mode="oracle").run(600)
+        batch = ReplayEngine(config).run(600)
         assert len(batch) == 1
         assert_identical(batch[0], scalar)
 
@@ -75,7 +74,7 @@ class TestOracleBitIdentity:
             scheme="DRTS-DCTS", theta_deg=theta_deg, p=p, seed=5
         )
         scalar = SlotModelEngine(config).run(500)
-        batch = BatchSlotModelEngine(config, rng_mode="oracle").run(500)
+        batch = ReplayEngine(config).run(500)
         assert_identical(batch[0], scalar)
 
     def test_engine_cross_check_grid_bit_identical(self):
@@ -85,7 +84,7 @@ class TestOracleBitIdentity:
             for p in (0.02, 0.05):
                 config = make_config(scheme=scheme, p=p, seed=2003)
                 scalar = SlotModelEngine(config).run(1_500)
-                (batch,) = BatchSlotModelEngine(config, rng_mode="oracle").run(1_500)
+                (batch,) = ReplayEngine(config).run(1_500)
                 assert scalar.initiations > 0, (scheme, p)
                 assert_identical(batch, scalar)
 
@@ -95,14 +94,12 @@ class TestOracleBitIdentity:
 
         geo = TorusGeometry(config, random.Random(config.seed))
         scalar = SlotModelEngine(config, geometry=geo).run(400)
-        batch = BatchSlotModelEngine(
-            config, geometry=geo, rng_mode="oracle"
-        ).run(400)
+        batch = ReplayEngine(config, geometry=geo).run(400)
         assert_identical(batch[0], scalar)
 
     def test_oracle_run_reuse_is_pure(self):
         config = make_config(p=0.05, seed=8)
-        engine = BatchSlotModelEngine(config, rng_mode="oracle")
+        engine = ReplayEngine(config)
         first = engine.run(400)[0]
         second = engine.run(400)[0]
         assert_identical(first, second)
@@ -112,9 +109,7 @@ class TestOracleBitIdentity:
         scalar_metrics = MetricsRegistry()
         SlotModelEngine(config, metrics=scalar_metrics).run(400)
         batch_metrics = MetricsRegistry()
-        BatchSlotModelEngine(
-            config, rng_mode="oracle", metrics=batch_metrics
-        ).run(400)
+        ReplayEngine(config, metrics=batch_metrics).run(400)
         assert scalar_metrics.snapshot() == batch_metrics.snapshot()
 
 
@@ -126,7 +121,7 @@ class TestGeometry:
         import random
 
         geo = TorusGeometry(config, random.Random(config.seed))
-        batch = BatchGeometry.from_torus(geo, config.params.beamwidth)
+        batch = batch_geometry(geo, config.params.beamwidth)
         assert batch.count == geo.count
         assert batch.mean_degree() == pytest.approx(geo.mean_degree())
         for k in range(geo.count):
@@ -139,7 +134,7 @@ class TestGeometry:
 
         geo = TorusGeometry(config, random.Random(config.seed))
         theta = config.params.beamwidth
-        batch = BatchGeometry.from_torus(geo, theta)
+        batch = batch_geometry(geo, theta)
         for k in range(geo.count):
             row = geo.neighbors[k]
             for a, aimed in enumerate(row):
@@ -248,18 +243,6 @@ class TestValidation:
         with pytest.raises(ValueError):
             BatchSlotModelEngine(make_config(), replicate_offset=-1)
 
-    def test_rejects_bad_rng_mode(self):
-        with pytest.raises(ValueError):
-            BatchSlotModelEngine(make_config(), rng_mode="exotic")
-
-    def test_oracle_requires_single_replicate(self):
-        with pytest.raises(ValueError):
-            BatchSlotModelEngine(make_config(), batch=2, rng_mode="oracle")
-        with pytest.raises(ValueError):
-            BatchSlotModelEngine(
-                make_config(), replicate_offset=1, rng_mode="oracle"
-            )
-
     def test_rejects_mismatched_coverage_tensor(self):
         narrow = make_config(scheme="DRTS-DCTS", theta_deg=30.0, seed=1)
         wide = make_config(scheme="DRTS-DCTS", theta_deg=150.0, seed=1)
@@ -314,7 +297,9 @@ class TestDistributionalEquivalence:
                 SlotModelEngine(cfg_i, geometry=geometry).run(slots)
             )
         batch_runs = BatchSlotModelEngine(
-            config, batch=reps, geometry=geometry
+            config,
+            batch=reps,
+            geometry=batch_geometry(geometry, config.params.beamwidth),
         ).run(slots)
 
         for metric in ("success_ratio", "throughput_per_node",
@@ -350,5 +335,5 @@ class TestDistributionalEquivalence:
             )
             assert config.node_count <= 32
             scalar = SlotModelEngine(config).run(700)
-            batch = BatchSlotModelEngine(config, rng_mode="oracle").run(700)
+            batch = ReplayEngine(config).run(700)
             assert_identical(batch[0], scalar)

@@ -6,9 +6,10 @@ import random
 import pytest
 
 from repro.core import PAPER_PARAMETERS
-from repro.slotsim import SlotModelConfig, TorusGeometry
+from repro.slotsim import SlotModelConfig
 
 from .scalar_engine import SlotModelEngine
+from .torus import TorusGeometry
 
 
 def hand_geometry(positions, side=6.0, range_limit=1.0):

@@ -122,7 +122,7 @@ def lone_pair_geometry(config):
     import math
     import random
 
-    from repro.slotsim import TorusGeometry
+    from .torus import TorusGeometry
 
     geo = TorusGeometry.__new__(TorusGeometry)
     geo.side = config.torus_factor

@@ -6,7 +6,9 @@ import random
 import pytest
 
 from repro.core import PAPER_PARAMETERS
-from repro.slotsim import SlotModelConfig, TorusGeometry
+from repro.slotsim import SlotModelConfig
+
+from .torus import TorusGeometry
 
 
 def config(**kw):
